@@ -454,18 +454,24 @@ func (p *Partition) WriteBlocks(blocks map[int][]byte) error { return p.p.WriteB
 func (p *Partition) UpdateBlocks(patches []BlockPatch) error { return p.p.UpdateBlocks(patches) }
 
 // ReadBlock retrieves one block through the full wet protocol and
-// returns its content with all updates applied.
+// returns its content with all updates applied. If any committed
+// version of the block (the original or an update) fails to decode, it
+// returns the typed error (errors.Is ErrInsufficientCoverage or
+// ErrRSMarginExceeded) instead of older content.
 func (p *Partition) ReadBlock(block int) ([]byte, error) { return p.p.ReadBlock(block) }
 
 // ReadBlocks retrieves several blocks in one batched access, one
 // elongated PCR per block, fanned across the configured workers.
-// Results are returned in request order.
+// Results are returned in request order. The first block missing any
+// committed version fails the call with its typed coverage or RS-margin
+// error; no block is ever served without one of its updates.
 func (p *Partition) ReadBlocks(blocks []int) ([][]byte, error) { return p.p.ReadBlocks(blocks) }
 
 // ReadRange retrieves blocks lo..hi (inclusive) using the minimal set
 // of index-tree prefixes, one PCR per prefix — the paper's sequential
 // access — with the per-prefix reactions fanned across the configured
-// workers.
+// workers. Like ReadBlocks it fails with the typed coverage or
+// RS-margin error of the first block missing a committed version.
 func (p *Partition) ReadRange(lo, hi int) ([][]byte, error) { return p.p.ReadRange(lo, hi) }
 
 // ReadBlocksHealth is ReadBlocks with graceful degradation: blocks
@@ -510,6 +516,8 @@ func (p *Partition) ReadRangeSupervised(lo, hi int) ([][]byte, []Health, *Recove
 }
 
 // ReadAll retrieves every written block with a whole-partition PCR.
+// It fails with the typed coverage or RS-margin error of the first
+// block missing a committed version, never returning older content.
 func (p *Partition) ReadAll() ([][]byte, error) { return p.p.ReadAll() }
 
 // UpdateBlock logs a patch against a block. The first two updates live

@@ -283,8 +283,13 @@ func (pl *batchPlan) stage(p *Partition, ops []batchOp, sealed [][]byte) []*OpEr
 // allocLogBlock reserves the next overflow log block for from (a data
 // block or an earlier log block), planning the pointer unit into from's
 // last version slot. The log block's own v0 is left for the first
-// overflowed patch. origin names the user block for error reporting.
-func (pl *batchPlan) allocLogBlock(p *Partition, op, from, origin int) (int, error) {
+// overflowed patch. origin names the user block for error reporting;
+// hop is the new log block's position in origin's chain, which may not
+// pass maxOverflowHops.
+func (pl *batchPlan) allocLogBlock(p *Partition, op, from, origin, hop int) (int, error) {
+	if hop > maxOverflowHops {
+		return 0, fmt.Errorf("%w: block %d overflow chain is at its %d-log-block limit", ErrOverflowFull, origin, maxOverflowHops)
+	}
 	logBlock := pl.next
 	if logBlock < 0 || pl.written(logBlock, op) {
 		return 0, fmt.Errorf("%w: block %d", ErrOverflowFull, origin)
@@ -319,17 +324,18 @@ func (pl *batchPlan) appendVersion(p *Partition, op, block int, unitData []byte)
 	logBlock, ok := pl.overflowOf(block, op)
 	if !ok {
 		var err error
-		if logBlock, err = pl.allocLogBlock(p, op, block, block); err != nil {
+		if logBlock, err = pl.allocLogBlock(p, op, block, block, 1); err != nil {
 			return err
 		}
 		pl.setVersion(block, n+1, op) // the pointer consumes the slot
 	}
-	return pl.writeLog(p, op, logBlock, unitData, block)
+	return pl.writeLog(p, op, logBlock, unitData, block, 1)
 }
 
 // writeLog plans patch data into a log block's version slots (including
-// v0), chaining further log blocks as they fill.
-func (pl *batchPlan) writeLog(p *Partition, op, logBlock int, unitData []byte, origin int) error {
+// v0), chaining further log blocks as they fill. hop is logBlock's
+// position in origin's chain.
+func (pl *batchPlan) writeLog(p *Partition, op, logBlock int, unitData []byte, origin, hop int) error {
 	n := pl.version(logBlock, op)
 	if n+1 <= directUpdateSlots {
 		pl.addUnit(op, logBlock, n+1, unitData)
@@ -339,11 +345,11 @@ func (pl *batchPlan) writeLog(p *Partition, op, logBlock int, unitData []byte, o
 	next, ok := pl.overflowOf(logBlock, op)
 	if !ok {
 		var err error
-		if next, err = pl.allocLogBlock(p, op, logBlock, origin); err != nil {
+		if next, err = pl.allocLogBlock(p, op, logBlock, origin, hop+1); err != nil {
 			return err
 		}
 	}
-	return pl.writeLog(p, op, next, unitData, origin)
+	return pl.writeLog(p, op, next, unitData, origin, hop+1)
 }
 
 // Apply commits the staged operations atomically in three phases:

@@ -314,6 +314,50 @@ func TestBatchOverflowExhaustion(t *testing.T) {
 	if after := s.Costs(); after != before {
 		t.Errorf("failed batch charged costs: before %+v after %+v", before, after)
 	}
+
+	// Chain-length exhaustion: a block takes directUpdateSlots +
+	// (directUpdateSlots+1)*maxOverflowHops updates. A batch that would
+	// exceed the limit is refused per op, the update at the limit is
+	// refused on its own, and every accepted update still reads back.
+	p, err = s.CreatePartition("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteBlock(0, []byte("0")); err != nil {
+		t.Fatal(err)
+	}
+	limit := directUpdateSlots + (directUpdateSlots+1)*maxOverflowHops
+	patch := func(i int) update.Patch { return update.Patch{InsertPos: 0, Insert: []byte{byte('A' + i%26)}} }
+	over := p.Batch()
+	for i := 0; i <= limit; i++ {
+		over.Update(0, patch(i))
+	}
+	err = over.Apply()
+	if !errors.As(err, &be) || len(be.Ops) != 1 || be.Ops[0].Index != limit || !errors.Is(err, ErrOverflowFull) {
+		t.Fatalf("batch past the chain limit: got %v, want ErrOverflowFull for op %d only", err, limit)
+	}
+	if p.Versions(0) != 0 {
+		t.Fatalf("refused batch advanced versions to %d", p.Versions(0))
+	}
+	var want []byte
+	fill := p.Batch()
+	for i := 0; i < limit; i++ {
+		fill.Update(0, patch(i))
+		want = append([]byte{byte('A' + i%26)}, want...)
+	}
+	if err := fill.Apply(); err != nil {
+		t.Fatalf("%d updates within the chain limit: %v", limit, err)
+	}
+	if err := p.UpdateBlock(0, patch(limit)); !errors.Is(err, ErrOverflowFull) {
+		t.Fatalf("update %d past the chain limit: got %v, want ErrOverflowFull", limit+1, err)
+	}
+	got, err := p.ReadBlock(0)
+	if err != nil {
+		t.Fatalf("block at the chain limit: %v", err)
+	}
+	if want = append(want, '0'); !bytes.HasPrefix(got, want) {
+		t.Errorf("content at the chain limit: %q, want prefix %q", got[:len(want)], want)
+	}
 }
 
 // TestBatchCommitConflict drives the optimistic-concurrency path by

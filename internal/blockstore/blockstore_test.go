@@ -64,6 +64,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, primers); err == nil {
 		t.Error("capacity factor 1 accepted")
 	}
+	cfg = testConfig()
+	cfg.PadBytes = 3 // no room for the unit CRC
+	if _, err := New(cfg, primers); err == nil {
+		t.Error("pad without room for the unit CRC accepted")
+	}
 }
 
 func TestCreatePartition(t *testing.T) {

@@ -16,6 +16,12 @@ func buildSeeded(t testing.TB, workers int) (*Store, *Partition) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Workers = workers
+	return buildSeededWith(t, cfg)
+}
+
+// buildSeededWith is buildSeeded over an arbitrary configuration.
+func buildSeededWith(t testing.TB, cfg Config) (*Store, *Partition) {
+	t.Helper()
 	s := newTestStore(t, cfg)
 	p, err := s.CreatePartition("alice")
 	if err != nil {

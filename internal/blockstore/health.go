@@ -7,9 +7,6 @@ import (
 
 	"dnastore/internal/decode"
 	"dnastore/internal/fault"
-	"dnastore/internal/parallel"
-	"dnastore/internal/rng"
-	"dnastore/internal/update"
 )
 
 // Health is the per-block condition report of a health-aware read or a
@@ -47,56 +44,35 @@ type Health struct {
 	RSMarginUsed float64
 }
 
-// versionZeroErr picks the typed error explaining a missing original
-// version: the unit's own recorded failure when the decoder saw it
-// fail, otherwise insufficient coverage (no strand of version 0 was
-// ever observed).
-func versionZeroErr(res *decode.BlockResult) error {
-	if res != nil {
-		if ue, ok := res.UnitErrors[0]; ok {
-			return ue
-		}
-	}
-	return decode.ErrInsufficientCoverage
-}
-
-// expectedVersions returns the set of unit versions that physically
-// exist for the block per the partition's tables: the original, the
+// expected returns the unit versions that physically exist for the
+// block per the partition's tables, ascending: the original, the
 // direct update slots consumed so far, and the overflow pointer slot if
 // the block has overflowed. Sequencing noise routinely conjures phantom
 // versions (a read whose index or version field misdecodes lands in a
-// unit that was never synthesized); health accounting must ignore them
-// or every probe looks like a disaster.
-func (p *Partition) expectedVersions(block int) map[int]bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.written[block] || p.versions[block] < 0 {
+// unit that was never synthesized); reads must ignore them, or every
+// probe looks like a disaster. The caller must hold p.mu.
+func (p *Partition) expected(block int) []int {
+	n := p.versions[block]
+	if !p.written[block] || n < 0 {
 		return nil
 	}
-	exp := map[int]bool{0: true}
-	n := p.versions[block]
-	if n > directUpdateSlots {
-		n = directUpdateSlots
-	}
-	for v := 1; v <= n; v++ {
-		exp[v] = true
+	exp := make([]int, 0, directUpdateSlots+2)
+	for v := 0; v <= n && v <= directUpdateSlots; v++ {
+		exp = append(exp, v)
 	}
 	if _, ok := p.overflow[block]; ok {
-		exp[directUpdateSlots+1] = true
+		exp = append(exp, directUpdateSlots+1)
 	}
 	return exp
 }
 
 // healthOf condenses a decode outcome into a Health report, counting
-// only the versions the partition tables say physically exist. res may
-// be nil (the retrieval itself failed); err is the access error, if
-// any. The caller must not hold p.mu.
-func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Health {
-	h := Health{Block: block, Err: err}
-	exp := p.expectedVersions(block)
+// only the versions exp says physically exist. res may be nil (the
+// retrieval itself failed); err is the access error, if any.
+func (p *Partition) healthOf(block int, exp []int, res *decode.BlockResult, err error) Health {
+	h := Health{Block: block, Err: err, Units: len(exp)}
 	mol := p.unit.Molecules()
 	parity := mol - p.unit.DataMolecules()
-	h.Units = len(exp)
 	if res == nil {
 		h.MissingSlots = h.Units * mol
 		if h.Units > 0 {
@@ -110,7 +86,7 @@ func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Heal
 	reads := 0
 	var coverageErr, marginErr error
 	worst := 0
-	for v := range exp {
+	for _, v := range exp {
 		st, observed := res.UnitStats[v]
 		if !observed {
 			// The unit never produced a single primary strand.
@@ -172,55 +148,6 @@ func (p *Partition) healthOf(block int, res *decode.BlockResult, err error) Heal
 	return h
 }
 
-// ReadBlocksHealth is ReadBlocks with graceful degradation: blocks
-// that fail to decode do not abort the batch. The content slice holds
-// nil at failed positions, and the Health slice reports every block's
-// condition — typed Err, estimated coverage, RS margin consumed. The
-// returned error covers only digital failures (bad block number,
-// unwritten block); wet failures land in the per-block reports.
-func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
-	for _, b := range blocks {
-		if err := p.checkBlock(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	depths := make([]int, len(blocks))
-	srcs := make([]*rng.Source, len(blocks))
-	p.mu.Lock()
-	accesses := 0
-	for i, b := range blocks {
-		if !p.written[b] {
-			p.mu.Unlock()
-			return nil, nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, b)
-		}
-		depths[i] = 1 + p.versions[b]
-		p.chargeElongated(blockPrimerKey(b))
-		accesses += 1 + p.chargeOverflow(b)
-		srcs[i] = p.noise.Fork()
-	}
-	p.store.wear(accesses)
-	p.mu.Unlock()
-	pcrWorkers := p.store.cfg.Workers
-	if len(blocks) > 1 && p.workers > 1 {
-		pcrWorkers = 1
-	}
-	out := make([][]byte, len(blocks))
-	health := make([]Health, len(blocks))
-	parallel.Run(p.workers, len(blocks), func(i int) error {
-		out[i], health[i] = p.readBlockHealth(srcs[i], blocks[i], depths[i], pcrWorkers, 1)
-		return nil
-	})
-	return out, health, nil
-}
-
-// readBlockHealth runs one block's full wet read, converting every
-// failure into a Health report instead of an error. scale multiplies
-// the sequencing budget (shallow scrub probes pass < 1).
-func (p *Partition) readBlockHealth(r *rng.Source, block, depth, pcrWorkers int, scale float64) ([]byte, Health) {
-	content, h, _ := p.readBlockHealthWet(r, block, depth, pcrWorkers, scale, false)
-	return content, h
-}
-
 // Operational-fault classification thresholds. A healthy elongated PCR
 // multiplies the pool's mass many-fold; a gain this close to 1 means
 // the reaction never amplified. A screened read whose foreign mass
@@ -231,36 +158,6 @@ const (
 	contaminatedFloor = 0.2
 )
 
-// readBlockHealthWet is readBlockHealth returning the wet evidence the
-// supervised paths consume, with the failure annotated by its
-// operational fault class when an injector is configured. screen
-// enables the contamination quarantine (supervised retries only). The
-// read streams when the store does: the classification evidence — PCR
-// gain, foreign mass, the up-front delivery truncation — is identical
-// on both protocols, so supervisors see the same fault classes either
-// way.
-func (p *Partition) readBlockHealthWet(r *rng.Source, block, depth, pcrWorkers int, scale float64, screen bool) ([]byte, Health, wetInfo) {
-	res, info, err := p.retrieveWet(r, block, depth, pcrWorkers, scale, screen, wetStrict)
-	if err != nil {
-		return nil, p.classifyHealth(block, res, err, info), info
-	}
-	bv, err := p.finishBlock(r, block, res, pcrWorkers)
-	if err != nil {
-		return nil, p.classifyHealth(block, res, err, info), info
-	}
-	content, err := update.ApplyAll(bv.Data, bv.Patches)
-	if err != nil {
-		return nil, p.classifyHealth(block, res, err, info), info
-	}
-	h := p.classifyHealth(block, res, nil, info)
-	if !h.Recovered {
-		// A physically-expected unit failed to decode: the assembled
-		// content would silently miss a patch, so degrade to a report.
-		return nil, h, info
-	}
-	return content, h, info
-}
-
 // classifyHealth condenses a wet read into its Health report and, when
 // the read failed under a fault injector, prefixes the failure with
 // its typed operational class so supervisors (and errors.Is callers)
@@ -269,8 +166,8 @@ func (p *Partition) readBlockHealthWet(r *rng.Source, block, depth, pcrWorkers i
 // Contamination is only observable on screened reads; the priority
 // order mirrors the causal chain (foreign mass starves the budget
 // before delivery shortfall does).
-func (p *Partition) classifyHealth(block int, res *decode.BlockResult, err error, info wetInfo) Health {
-	h := p.healthOf(block, res, err)
+func (p *Partition) classifyHealth(block int, exp []int, res *decode.BlockResult, err error, info wetInfo) Health {
+	h := p.healthOf(block, exp, res, err)
 	if h.Recovered || p.store.cfg.Faults == nil {
 		return h
 	}
@@ -283,6 +180,16 @@ func (p *Partition) classifyHealth(block int, res *decode.BlockResult, err error
 		h.Err = fmt.Errorf("%w (%d of %d reads): %w", fault.ErrRunAborted, info.delivered, info.budget, h.Err)
 	}
 	return h
+}
+
+// ReadBlocksHealth is ReadBlocks with graceful degradation: blocks
+// that fail to decode do not abort the batch. The content slice holds
+// nil at failed positions, and the Health slice reports every block's
+// condition — typed Err, estimated coverage, RS margin consumed. The
+// returned error covers only digital failures (bad block number,
+// unwritten block); wet failures land in the per-block reports.
+func (p *Partition) ReadBlocksHealth(blocks []int) ([][]byte, []Health, error) {
+	return p.read(p.planBlocks(blocks, healthRead))
 }
 
 // ReadBlockHealth reads one block with graceful degradation at an
@@ -299,19 +206,13 @@ func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, e
 	if scale <= 0 || math.IsNaN(scale) {
 		return nil, Health{}, fmt.Errorf("%w: %g", ErrDepthScale, scale)
 	}
-	p.mu.Lock()
-	if !p.written[block] {
-		p.mu.Unlock()
-		return nil, Health{}, fmt.Errorf("%w: block %d", ErrBlockNotFound, block)
+	m := healthRead
+	m.scale = scale
+	content, health, err := p.read(p.planBlocks([]int{block}, m))
+	if err != nil {
+		return nil, Health{}, err
 	}
-	depth := 1 + p.versions[block]
-	p.chargeElongated(blockPrimerKey(block))
-	accesses := 1 + p.chargeOverflow(block)
-	src := p.noise.Fork()
-	p.store.wear(accesses)
-	p.mu.Unlock()
-	content, h := p.readBlockHealth(src, block, depth, p.store.cfg.Workers, scale)
-	return content, h, nil
+	return content[0], health[0], nil
 }
 
 // ReadRangeHealth is ReadRange with graceful degradation: per-block
@@ -320,100 +221,5 @@ func (p *Partition) ReadBlockHealth(block int, scale float64) ([]byte, Health, e
 // recovery failed — plus the per-block Health reports. The returned
 // error covers only digital failures.
 func (p *Partition) ReadRangeHealth(lo, hi int) ([][]byte, []Health, error) {
-	if err := p.checkBlock(lo); err != nil {
-		return nil, nil, err
-	}
-	if err := p.checkBlock(hi); err != nil {
-		return nil, nil, err
-	}
-	if lo > hi {
-		return nil, nil, fmt.Errorf("%w: inverted range [%d, %d]", ErrBlockRange, lo, hi)
-	}
-	covers, err := p.tree.Cover(lo, hi)
-	if err != nil {
-		return nil, nil, err
-	}
-	reactions, assembleSrc := p.planCovers(covers)
-	pcrWorkers := p.store.cfg.Workers
-	if len(reactions) > 1 && p.workers > 1 {
-		pcrWorkers = 1
-	}
-	perCover := make([]map[int]*decode.BlockResult, len(reactions))
-	coverErrs := make([]error, len(reactions))
-	parallel.Run(p.workers, len(reactions), func(i int) error {
-		perCover[i], coverErrs[i] = p.runCoverHealth(reactions[i], pcrWorkers)
-		return nil
-	})
-	for _, cerr := range coverErrs {
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-	}
-	results := make(map[int]*decode.BlockResult)
-	for _, m := range perCover {
-		for b, res := range m {
-			results[b] = res
-		}
-	}
-	return p.assembleHealth(assembleSrc, lo, hi, results)
-}
-
-// runCoverHealth is runCover except a whole-cover decode failure
-// (e.g. every unit of the cover beyond recovery) degrades to the
-// partial per-block results instead of aborting; only infrastructure
-// errors (PCR or sequencing configuration) still propagate.
-func (p *Partition) runCoverHealth(cr coverReaction, pcrWorkers int) (map[int]*decode.BlockResult, error) {
-	results, err := p.runCover(cr, pcrWorkers)
-	if err != nil && errors.Is(err, decode.ErrDecode) {
-		return results, nil
-	}
-	return results, err
-}
-
-// assembleHealth is assemble with graceful degradation: every written
-// data block of [lo, hi] yields an output slot and a Health report;
-// failures leave the slot nil instead of aborting the whole range.
-func (p *Partition) assembleHealth(r *rng.Source, lo, hi int, results map[int]*decode.BlockResult) ([][]byte, []Health, error) {
-	p.mu.Lock()
-	wanted := make([]int, 0, hi-lo+1)
-	logBlocks := make(map[int]bool, len(p.overflow))
-	for _, log := range p.overflow {
-		logBlocks[log] = true
-	}
-	for b := lo; b <= hi; b++ {
-		if !p.written[b] || logBlocks[b] {
-			continue
-		}
-		wanted = append(wanted, b)
-	}
-	p.mu.Unlock()
-	out := make([][]byte, len(wanted))
-	health := make([]Health, len(wanted))
-	for i, b := range wanted {
-		res, ok := results[b]
-		if !ok {
-			health[i] = p.healthOf(b, nil, fmt.Errorf("%w: block %d not recovered", decode.ErrInsufficientCoverage, b))
-			continue
-		}
-		raw, ok := res.Versions[0]
-		if !ok {
-			health[i] = p.healthOf(b, res, fmt.Errorf("%w: block %d original version missing", versionZeroErr(res), b))
-			continue
-		}
-		patches, err := p.collectPatches(r, res, false, 8, p.store.cfg.Workers)
-		if err != nil {
-			health[i] = p.healthOf(b, res, err)
-			continue
-		}
-		content, err := update.ApplyAll(raw[:p.BlockSize()], patches)
-		if err != nil {
-			health[i] = p.healthOf(b, res, err)
-			continue
-		}
-		health[i] = p.healthOf(b, res, nil)
-		if health[i].Recovered {
-			out[i] = content
-		}
-	}
-	return out, health, nil
+	return p.read(p.planRange(lo, hi, healthRead))
 }

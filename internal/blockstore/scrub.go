@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"dnastore/internal/decode"
-	"dnastore/internal/parallel"
-	"dnastore/internal/rng"
 )
 
 // RepairMode selects what Scrub does about an unhealthy block.
@@ -180,59 +178,41 @@ func (s *Store) Scrub(pol ScrubPolicy) (*ScrubReport, error) {
 
 // scrub probes and repairs one partition's written blocks.
 func (p *Partition) scrub(pol ScrubPolicy, report *ScrubReport) error {
-	// Serial front-end: enumerate written blocks (overflow logs
-	// included — their patches decay like any other strands), charge
-	// primers, fork probe noise in block order.
+	// Enumerate written blocks in address order — overflow logs
+	// included, their patches decay like any other strands — and probe
+	// them through the read pipeline, fanned across the workers. With
+	// streaming on, a probe is a floor-stopped strict streamed read —
+	// usually cheaper than the scaled batch probe, the fallback — and its
+	// Coverage comes from the engine's live per-slot accounting.
 	p.mu.Lock()
 	blocks := make([]int, 0, len(p.written))
 	for b := range p.written {
-		if p.written[b] && p.versions[b] >= 0 {
-			blocks = append(blocks, b)
-		}
+		blocks = append(blocks, b)
 	}
-	sort.Ints(blocks)
-	depths := make([]int, len(blocks))
-	srcs := make([]*rng.Source, len(blocks))
-	for i, b := range blocks {
-		depths[i] = 1 + p.versions[b]
-		p.chargeElongated(blockPrimerKey(b))
-		srcs[i] = p.noise.Fork()
-	}
-	p.store.wear(len(blocks))
 	p.mu.Unlock()
-
-	// Probe phase: shallow reads fanned across the workers. With
-	// streaming on, a probe is a floor-stopped streamed read — usually
-	// cheaper than the scaled batch probe — and its Coverage comes from
-	// the engine's live per-slot accounting rather than being re-derived
-	// from the decode's read totals; the scaled batch probe remains the
-	// fallback.
-	pcrWorkers := p.store.cfg.Workers
-	if len(blocks) > 1 && p.workers > 1 {
-		pcrWorkers = 1
+	sort.Ints(blocks)
+	m := readMode{wet: wetStrict, scale: 1, health: true, probe: true}
+	if !p.streamingEnabled() {
+		m.scale = pol.ProbeDepthFactor
 	}
-	health := make([]Health, len(blocks))
-	parallel.Run(p.workers, len(blocks), func(i int) error {
-		if p.streamingEnabled() {
-			res, info, err := p.retrieveWet(srcs[i], blocks[i], depths[i], pcrWorkers, 1, false, wetStrict)
-			health[i] = p.healthOf(blocks[i], res, err)
-			if info.covAvg > 0 && info.entries > 0 {
-				// The engine's live per-slot coverage, normalized by the
-				// stream's pore-entry effort: a floor-stopped probe's raw
-				// mean sits near the floor whatever the tube's state, so
-				// extrapolate what the full ungated budget would have
-				// yielded per slot. Healthy tubes stop after a fraction
-				// of the budget (high estimate); decayed tubes burn
-				// entries on junk and thin species (low estimate) —
-				// preserving the batch probe's abundance-decline signal.
-				health[i].Coverage = info.covAvg * float64(info.budget) / float64(info.entries)
-			}
-			return nil
+	pl, err := p.planBlocks(blocks, m)
+	_, health, err := p.read(pl, err)
+	if err != nil {
+		return err
+	}
+	for i, s := range pl.slots {
+		if s.info.covAvg > 0 && s.info.entries > 0 {
+			// The engine's live per-slot coverage, normalized by the
+			// stream's pore-entry effort: a floor-stopped probe's raw
+			// mean sits near the floor whatever the tube's state, so
+			// extrapolate what the full ungated budget would have
+			// yielded per slot. Healthy tubes stop after a fraction of
+			// the budget (high estimate); decayed tubes burn entries on
+			// junk and thin species (low estimate) — preserving the
+			// batch probe's abundance-decline signal.
+			health[i].Coverage = s.info.covAvg * float64(s.info.budget) / float64(s.info.entries)
 		}
-		res, err := p.retrieveScaled(srcs[i], blocks[i], depths[i], pcrWorkers, pol.ProbeDepthFactor)
-		health[i] = p.healthOf(blocks[i], res, err)
-		return nil
-	})
+	}
 	report.BlocksProbed += len(blocks)
 
 	// Repair phase: serial, in block order.
@@ -327,48 +307,33 @@ func (s *Store) boostBlock(partition string, block int, factor float64) int {
 func (p *Partition) resynthRepair(block int, pol ScrubPolicy) (repaired bool, retries int, err error) {
 	scale := 1.0
 	var best *decode.BlockResult
+	var exp []int
 	var lastErr error
 	for attempt := 0; attempt <= pol.MaxRetries; attempt++ {
 		if attempt > 0 {
 			scale *= 2
 			retries++
 		}
-		p.mu.Lock()
-		depth := 1 + p.versions[block]
-		p.chargeElongated(blockPrimerKey(block))
-		r := p.noise.Fork()
-		p.store.wear(1)
-		p.mu.Unlock()
-		res, rerr := p.retrieveScaled(r, block, depth, p.store.cfg.Workers, scale)
-		if res != nil && (best == nil || len(res.Versions) > len(best.Versions)) {
-			best = res
+		pl, err := p.planBlocks([]int{block}, readMode{wet: wetBatch, scale: scale, health: true, probe: true})
+		if _, _, err = p.read(pl, err); err != nil {
+			return false, retries, err
 		}
-		if rerr != nil {
-			lastErr = rerr
-			continue
+		s := pl.slots[0]
+		exp = pl.exp[block]
+		if s.res != nil && (best == nil || len(s.res.Versions) > len(best.Versions)) {
+			best = s.res
 		}
-		if h := p.healthOf(block, res, nil); h.Err != nil {
-			lastErr = h.Err
-			continue
+		if lastErr = s.h.Err; lastErr == nil {
+			best = s.res
+			break
 		}
-		best = res
-		lastErr = nil
-		break
 	}
-	if best == nil || len(best.Versions) == 0 {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("%w: block %d unreadable for repair", decode.ErrDecode, block)
-		}
-		return false, retries, lastErr
-	}
-	exp := p.expectedVersions(block)
-	versions := make([]int, 0, len(best.Versions))
-	for v := range best.Versions {
-		if exp[v] {
+	var versions []int
+	for _, v := range exp {
+		if best != nil && best.Versions[v] != nil {
 			versions = append(versions, v)
 		}
 	}
-	sort.Ints(versions)
 	if len(versions) == 0 {
 		if lastErr == nil {
 			lastErr = fmt.Errorf("%w: block %d unreadable for repair", decode.ErrDecode, block)

@@ -78,7 +78,8 @@ type Config struct {
 	Variant indextree.Variant
 
 	// PadBytes is the per-unit random padding (paper: 8, making a
-	// 256-byte block inside the 264-byte unit).
+	// 256-byte block inside the 264-byte unit). Its first 4 bytes hold
+	// the unit's CRC32, so New rejects fewer.
 	PadBytes int
 
 	Synthesis pool.SynthesisParams
@@ -266,8 +267,8 @@ func New(cfg Config, primers []dna.Seq) (*Store, error) {
 		return nil, fmt.Errorf("blockstore: geometry index length %d incompatible with depth %d (%v needs %d)",
 			cfg.Geometry.IndexLen, cfg.TreeDepth, cfg.Variant, wantIndex)
 	}
-	if cfg.PadBytes < 0 {
-		return nil, fmt.Errorf("blockstore: negative pad")
+	if cfg.PadBytes < 4 {
+		return nil, fmt.Errorf("blockstore: pad of %d bytes cannot hold the 4-byte unit CRC", cfg.PadBytes)
 	}
 	if len(primers) < 2 {
 		return nil, fmt.Errorf("blockstore: need at least 2 primers, have %d", len(primers))

@@ -1,37 +1,423 @@
 package blockstore
 
 import (
-	"sort"
+	"errors"
+	"fmt"
 
 	"dnastore/internal/decode"
 	"dnastore/internal/dna"
 	"dnastore/internal/parallel"
+	"dnastore/internal/pcr"
 	"dnastore/internal/pool"
 	"dnastore/internal/rng"
 	"dnastore/internal/seqsim"
 	"dnastore/internal/streamdecode"
+	"dnastore/internal/update"
 )
 
-// This file is the wet half of the streaming decode path: wet reads —
-// plain content reads, the overflow-chain retrievals behind them, and
-// the health/supervised single-block reads — sequence incrementally,
-// feeding each chunk through the streamdecode engine and stopping (or,
-// for multi-target reactions, redirecting via an adaptive-sampling
-// gate) once every target's coverage floor is met. The engine's
-// assignment state is sharded by provisional block address and its
-// block finalizes run on a background pool, overlapping the decode
-// back half with ongoing sequencing.
+// This file is the one read pipeline every access runs through: plain
+// content reads, health reads, supervised retries, scrub probes and
+// repair re-reads; single blocks, prefix-cover ranges and the whole
+// partition. An access is a list of reactions, each one PCR with a
+// primer elongated to a block or a cover prefix (or the main primer),
+// and a list of output slots, one per data block it returns. It moves
+// through four stages:
 //
-// Failure classification survives the early stop because the stream
-// draws its injected delivery ceiling up front: an aborted run
-// truncates the ceiling below the budget whether or not the floor
-// would have stopped sequencing earlier, so "truncated" is a real
-// signal, not one forged by adaptive stopping. Reactions that never
-// amplified (PCR failure, contamination choking the reagents) fall
-// back to the batch path: nanopore loading needs amplified molarity,
-// so adaptive sampling cannot rescue an unamplified aliquot — and the
-// recovery machinery's gain/foreign-mass classification keeps its
-// exact batch semantics for them.
+//   - plan, the serial front-end: under one hold of the partition mutex
+//     it validates the targets, snapshots the unit versions the tables
+//     say exist, charges every elongated primer the access will use
+//     (each reaction's and each overflow-chain hop's) through the cache,
+//     forks one noise source per reaction in order, and charges the
+//     tube's wear. Everything stateful happens here, so the stages
+//     after it are byte-identical at any worker count.
+//   - wet, fanned across the workers: PCR, then sequencing and decoding
+//     by one of two protocols. Streaming feeds reads through the
+//     streamdecode engine chunk by chunk and stops (or, for multi-block
+//     reactions, ejects finished and off-target molecules at the pore)
+//     once every target's coverage floor is met, escalating the floor
+//     of a target that still fails to decode. Batch sequences the
+//     whole fault-truncated budget up front. A scaled read budget, a
+//     repair re-read, streaming turned off, or a reaction that never
+//     amplified (no molarity for adaptive sampling) takes the batch
+//     protocol. Both draw the injected delivery ceiling before the
+//     first read, so an aborted run is told apart from an early stop.
+//   - classify: each slot's Health against its planned versions. A
+//     block missing any version it was written with is not recovered,
+//     whatever else decoded, so no read ever serves stale content.
+//   - assemble: a recovered block's patches are resolved in order, its
+//     overflow chain followed with one elongated-PCR hop per log block.
+//
+// A readMode steers the stages. Plain reads abort on the first
+// unrecovered block and return its typed error; health reads leave
+// every failure in its slot's report; supervised reads run the
+// recovery engine (supervise.go) over a health read.
+
+// wetMode selects a single-block reaction's sequencing protocol.
+type wetMode int
+
+const (
+	// wetBatch sequences the full (fault-truncated) budget up front.
+	wetBatch wetMode = iota
+	// wetStream runs the floor-stopped streaming engine; the floor
+	// tolerates the unit's erasure slack, optimizing for read cost.
+	wetStream
+	// wetStrict streams with zero slack: every expected slot must meet
+	// the floor before the stream stops, so slot-level health evidence
+	// (missing slots, per-slot coverage) is never forged by an early
+	// stop. Health reads and scrub probes use it. Multi-block reactions
+	// always stream at the slack floor.
+	wetStrict
+)
+
+// readMode steers one access through the pipeline.
+type readMode struct {
+	wet    wetMode
+	scale  float64 // read-budget multiplier; any value but 1 runs batch
+	screen bool    // contamination quarantine of each reaction's aliquot
+	health bool    // report failures per slot instead of aborting
+	probe  bool    // diagnose only: no overflow chain charged or assembled
+}
+
+var (
+	plainRead  = readMode{wet: wetStream, scale: 1}
+	healthRead = readMode{wet: wetStrict, scale: 1, health: true}
+)
+
+// reaction is one PCR → sequence → decode of an access. The caller
+// sets the primer and the span; plan fills in the rest.
+type reaction struct {
+	key    string  // primer-cache key; "" for the main primer
+	fwd    dna.Seq // forward primer; nil when decoded is supplied
+	lo, hi int     // span of blocks the primer amplifies
+	single bool    // elongated to one block: DecodeBlock, strict streams
+	main   bool    // whole partition: main primers only, no carryover
+	// decoded is an externally produced decode (DecodeReads): the
+	// reaction does no wet work.
+	decoded *decode.BlockResult
+
+	targets []int // written blocks of the span: the stream's floors
+	units   int   // encoding units behind the read budget
+	src     *rng.Source
+	slots   [2]int // its output slots, [from, to)
+}
+
+// slot is one block an access returns, as the stages fill it in.
+type slot struct {
+	block   int
+	src     *rng.Source // overflow-chain hops draw from it
+	res     *decode.BlockResult
+	info    wetInfo
+	h       Health
+	bv      *BlockVersions
+	content []byte
+}
+
+// readPlan is an access after the front-end.
+type readPlan struct {
+	mode  readMode
+	rxs   []reaction
+	slots []slot
+	exp   map[int][]int // versions that exist, per block the access may decode
+}
+
+// plan is the pipeline's serial front-end (see the file comment). A
+// single-block reaction's slot is its block, even an overflow log
+// block; a span's slots are its written data blocks. Spans with
+// nothing written are dropped unplanned, and a whole-partition read
+// with nothing written fails with ErrBlockNotFound. On error nothing
+// has been charged.
+func (p *Partition) plan(m readMode, rxs []reaction) (*readPlan, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, rx := range rxs {
+		if rx.single && !p.written[rx.lo] {
+			return nil, fmt.Errorf("%w: block %d", ErrBlockNotFound, rx.lo)
+		}
+	}
+	logs := make(map[int]bool, len(p.overflow))
+	for _, log := range p.overflow {
+		logs[log] = true
+	}
+	pl := &readPlan{mode: m, exp: make(map[int][]int)}
+	accesses := 0
+	for _, rx := range rxs {
+		from := len(pl.slots)
+		for b := rx.lo; b <= rx.hi; b++ {
+			if !p.written[b] {
+				continue
+			}
+			rx.targets = append(rx.targets, b)
+			rx.units += 1 + p.versions[b]
+			pl.exp[b] = p.expected(b)
+			if rx.single || !logs[b] {
+				pl.slots = append(pl.slots, slot{block: b})
+			}
+		}
+		if rx.units == 0 {
+			pl.slots = pl.slots[:from]
+			continue
+		}
+		if rx.key != "" {
+			p.chargeElongated(rx.key)
+		}
+		if rx.fwd != nil {
+			accesses++
+		}
+		if !m.probe {
+			for _, s := range pl.slots[from:] {
+				accesses += p.chargeOverflow(s.block, pl.exp)
+			}
+		}
+		rx.src = p.noise.Fork()
+		rx.slots = [2]int{from, len(pl.slots)}
+		pl.rxs = append(pl.rxs, rx)
+	}
+	if len(rxs) == 1 && rxs[0].main && len(pl.rxs) == 0 {
+		return nil, ErrBlockNotFound
+	}
+	// A range's covers chase their blocks' chains serially after the
+	// fan, from one extra source; every other slot uses its reaction's.
+	var shared *rng.Source
+	if len(rxs) > 0 && !rxs[0].single && !rxs[0].main {
+		shared = p.noise.Fork()
+	}
+	for _, rx := range pl.rxs {
+		for j := rx.slots[0]; j < rx.slots[1]; j++ {
+			pl.slots[j].src = rx.src
+			if shared != nil {
+				pl.slots[j].src = shared
+			}
+		}
+	}
+	p.store.wear(accesses)
+	return pl, nil
+}
+
+// run carries a planned access through the wet, classify and assemble
+// stages, filling its slots. A plain read returns the first
+// unrecovered block's typed error, and the wet fan stops starting
+// reactions once one has failed.
+func (p *Partition) run(pl *readPlan) error {
+	m := pl.mode
+	// With several reactions fanned across the store's workers, each
+	// reaction scores serially; a lone reaction gets the full budget.
+	pcrWorkers := p.store.cfg.Workers
+	if len(pl.rxs) > 1 && p.workers > 1 {
+		pcrWorkers = 1
+	}
+	err := parallel.Run(p.workers, len(pl.rxs), func(i int) error {
+		rx := &pl.rxs[i]
+		results, info, err := p.wet(rx, pl.exp, pcrWorkers, m)
+		if !rx.single {
+			// A multi-block reaction's evidence is per block: a decode
+			// that recovered nothing fails each slot on its own, and no
+			// reaction-level fault class is pinned on a range's blocks.
+			info = wetInfo{}
+			if errors.Is(err, decode.ErrDecode) {
+				err = nil
+			}
+		}
+		for j := rx.slots[0]; j < rx.slots[1]; j++ {
+			s := &pl.slots[j]
+			s.res, s.info = results[s.block], info
+			e := err
+			if e == nil && s.res == nil {
+				e = fmt.Errorf("%w: block %d not recovered", decode.ErrInsufficientCoverage, s.block)
+			}
+			s.h = p.classifyHealth(s.block, pl.exp[s.block], s.res, e, info)
+			if !s.h.Recovered && !m.health {
+				return s.h.Err
+			}
+		}
+		return nil
+	})
+	if err != nil || m.probe {
+		return err
+	}
+	for j := range pl.slots {
+		s := &pl.slots[j]
+		if !s.h.Recovered {
+			continue
+		}
+		if s.bv, s.content, err = p.assemble(pl, s); err != nil {
+			if !m.health {
+				return err
+			}
+			s.h = p.classifyHealth(s.block, pl.exp[s.block], s.res, err, s.info)
+		}
+	}
+	return nil
+}
+
+// planBlocks plans one fully elongated reaction per requested block,
+// in request order.
+func (p *Partition) planBlocks(blocks []int, m readMode) (*readPlan, error) {
+	rxs := make([]reaction, len(blocks))
+	for i, b := range blocks {
+		if err := p.checkBlock(b); err != nil {
+			return nil, err
+		}
+		fwd, _ := p.ElongatedPrimer(b)
+		rxs[i] = reaction{key: blockPrimerKey(b), fwd: fwd, lo: b, hi: b, single: true}
+	}
+	return p.plan(m, rxs)
+}
+
+// planRange plans blocks lo..hi (inclusive) as the range's minimal
+// prefix cover, one partially elongated reaction per cover prefix.
+func (p *Partition) planRange(lo, hi int, m readMode) (*readPlan, error) {
+	if err := p.checkBlock(lo); err != nil {
+		return nil, err
+	}
+	if err := p.checkBlock(hi); err != nil {
+		return nil, err
+	}
+	if lo > hi {
+		return nil, fmt.Errorf("%w: inverted range [%d, %d]", ErrBlockRange, lo, hi)
+	}
+	covers, err := p.tree.Cover(lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	rxs := make([]reaction, len(covers))
+	for i, c := range covers {
+		fwd := p.store.cfg.Geometry.ElongatedPrimer(p.fwd, c.Prefix)
+		rxs[i] = reaction{key: coverPrimerKey(c.Prefix), fwd: fwd, lo: c.Lo, hi: c.Hi}
+	}
+	return p.plan(m, rxs)
+}
+
+// read runs a plan (err is the planning error) and returns the
+// content and Health of its slots in order; content is nil where a
+// health read failed.
+func (p *Partition) read(pl *readPlan, err error) ([][]byte, []Health, error) {
+	if err == nil {
+		err = p.run(pl)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	content := make([][]byte, len(pl.slots))
+	health := make([]Health, len(pl.slots))
+	for i, s := range pl.slots {
+		content[i], health[i] = s.content, s.h
+	}
+	return content, health, nil
+}
+
+// assemble resolves a recovered slot's patches in application order —
+// following its overflow pointer through the log blocks, one
+// elongated-PCR hop each, drawn from the slot's source — and applies
+// them. Only planned versions are read, so a phantom unit conjured by
+// misread strands is never applied, and a hop that misses a version of
+// its log block fails the read with that block's typed error.
+func (p *Partition) assemble(pl *readPlan, s *slot) (*BlockVersions, []byte, error) {
+	bv := &BlockVersions{Data: s.res.Versions[0][:p.BlockSize()], Decode: *s.res}
+	block, res := s.block, s.res
+	for hop := 0; ; hop++ {
+		next := -1
+		for _, v := range pl.exp[block] {
+			if hop == 0 && v == 0 {
+				continue
+			}
+			if log, ok := update.IsOverflow(res.Versions[v]); ok {
+				next = log
+				continue
+			}
+			patch, err := update.Unmarshal(res.Versions[v])
+			if err != nil {
+				return nil, nil, err
+			}
+			bv.Patches = append(bv.Patches, patch)
+		}
+		if next < 0 {
+			break
+		}
+		exp, planned := pl.exp[next]
+		if !planned || hop == maxOverflowHops {
+			return nil, nil, fmt.Errorf("%w: block %d overflow chain runs off its plan at block %d",
+				ErrRSMarginExceeded, s.block, next)
+		}
+		// A log block's full slot set: three patches and a pointer.
+		fwd, _ := p.ElongatedPrimer(next)
+		rx := reaction{fwd: fwd, lo: next, hi: next, single: true, targets: []int{next},
+			units: directUpdateSlots + 2, src: s.src}
+		results, _, err := p.wet(&rx, pl.exp, p.store.cfg.Workers, plainRead)
+		if res = results[next]; !servesExpected(res, exp) {
+			return nil, nil, fmt.Errorf("blockstore: overflow chain: %w", p.healthOf(next, exp, res, err).Err)
+		}
+		block = next
+	}
+	content, err := update.ApplyAll(bv.Data, bv.Patches)
+	if err != nil {
+		return nil, nil, err
+	}
+	return bv, content, nil
+}
+
+// wetInfo is the operational evidence one wet reaction leaves behind,
+// consumed by the supervised reads to classify failures: a PCR gain
+// near 1 is a failed reaction, a truncated delivery ceiling is an
+// aborted sequencing run, and a large foreign mass fraction (known
+// only when the quarantine screen ran) is contamination. A streamed
+// run may stop even earlier than its ceiling at the coverage floor;
+// that early stop is adaptive, not a fault.
+type wetInfo struct {
+	gain        float64 // PCR mass amplification (final / initial)
+	budget      int     // sequencing reads budgeted
+	delivered   int     // sequencing reads actually delivered
+	truncated   bool    // injected abort cut delivery below the budget
+	quarantined int     // foreign species mass-zeroed by the screen
+	foreignFrac float64 // fraction of amplified mass the screen removed
+	covAvg      float64 // streamed single block: mean per-slot coverage
+	entries     int     // streamed reads: pore entries (sequenced + ejected)
+}
+
+// wet runs one reaction — PCR (fault hooks included), then sequencing
+// and decoding — and returns the decode of every block it recovered.
+// It touches no shared front-end state, so reactions fan out freely.
+func (p *Partition) wet(rx *reaction, exp map[int][]int, pcrWorkers int, m readMode) (map[int]*decode.BlockResult, wetInfo, error) {
+	var info wetInfo
+	if rx.fwd == nil {
+		return map[int]*decode.BlockResult{rx.lo: rx.decoded}, info, nil
+	}
+	primers := []pcr.Primer{{Fwd: rx.fwd, Rev: p.rev, Conc: 1}}
+	if c := p.store.cfg.CarryoverConc; c > 0 && !rx.main {
+		primers = append(primers, pcr.Primer{Fwd: p.fwd, Rev: p.rev, Conc: c})
+	}
+	amplified, st, rep, err := p.store.runPCR(rx.src, primers, pcrWorkers, m.screen)
+	if err != nil {
+		return nil, info, err
+	}
+	info.gain = st.Gain()
+	info.quarantined, info.foreignFrac = rep.quarantined, rep.foreignFrac
+	info.budget = p.store.readBudget(rx.units)
+	if m.scale != 1 {
+		info.budget = max(1, int(float64(info.budget)*m.scale+0.5))
+	}
+	if m.wet != wetBatch && m.scale == 1 && p.streamingEnabled() && p.streamGainOK(info.gain) {
+		results, run, err := p.stream(rx.src, amplified, rx.targets, exp, info.budget, rx.single && m.wet == wetStrict)
+		info.delivered, info.truncated = run.sequenced, run.truncated
+		info.covAvg, info.entries = run.covAvg, run.entries
+		return results, info, err
+	}
+	info.delivered = p.store.faultBudget(rx.src, info.budget)
+	info.truncated = info.delivered < info.budget
+	reads, err := p.store.sequence(rx.src, amplified, info.delivered)
+	if err != nil {
+		return nil, info, err
+	}
+	seqs := make([]dna.Seq, len(reads))
+	for i, rd := range reads {
+		seqs[i] = rd.Seq
+	}
+	if !rx.single {
+		results, err := p.pipeline.DecodeAll(seqs)
+		return results, info, err
+	}
+	res, err := p.pipeline.DecodeBlock(seqs, rx.lo)
+	return map[int]*decode.BlockResult{rx.lo: res}, info, err
+}
 
 // streamChunk is the most reads sequenced between engine updates and
 // stop checks — small enough that overshoot past the coverage floor
@@ -62,10 +448,7 @@ func chunkSize(budget int) int {
 const ejectOverhead = 4
 
 // streamingEnabled reports whether wet reads may use the streaming
-// engine. Reactions under fault injection additionally require a real
-// amplification gain (see streamGainOK): an unamplified aliquot lacks
-// the molarity adaptive sampling needs, and the recovery machinery
-// classifies those failures on the batch path's evidence.
+// engine (see also streamGainOK).
 func (p *Partition) streamingEnabled() bool {
 	return p.store.cfg.Decode.Streaming
 }
@@ -105,8 +488,7 @@ func (p *Partition) closeStreamEngine(eng *streamdecode.Engine) {
 // classification and health probes: reads actually sequenced, total
 // pore entries consumed (sequenced + ejected — the stream's true
 // effort), whether an injected abort truncated the delivery ceiling
-// below the budget, and the engine's live mean per-slot coverage of
-// the target.
+// below the budget, and a single target's live mean per-slot coverage.
 type streamRun struct {
 	sequenced int
 	entries   int
@@ -114,31 +496,19 @@ type streamRun struct {
 	covAvg    float64
 }
 
-// expectedList is expectedVersions as a sorted slice — the unit set a
-// streaming target's coverage floor spans. An empty list (unwritten or
-// damaged front-end state) registers a target with no floor, which is
-// never Done: the stream then runs to the full batch budget.
-func (p *Partition) expectedList(block int) []int {
-	exp := p.expectedVersions(block)
-	out := make([]int, 0, len(exp))
-	for v := range exp {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// streamBlock sequences one elongated-PCR reaction incrementally until
-// the target block's coverage floor is met, then decodes. The pore
-// gate ejects molecules that cannot contribute to the target — at
+// stream sequences one reaction incrementally until every target's
+// coverage floor (over its expected versions) is met, then decodes.
+// The pore gate ejects molecules that cannot contribute — at
 // 10^6-strand tube scale the carryover junk would otherwise consume
-// the whole read budget before the floor filled. If the floor proves
-// too shallow (the finalize cannot serve an expected version), Reopen
-// doubles it and the stream continues, degrading toward the batch
-// budget spent entirely on admissible molecules. An injected
-// sequencing abort truncates the reaction's delivery ceiling below the
+// the whole read budget before the floors filled. A target that still
+// cannot serve every expected version is reopened — its floor doubles
+// per round — and the stream continues, degrading toward the batch
+// budget spent entirely on admissible molecules. A multi-block
+// reaction none of whose targets decoded at the floor stops there. An
+// injected sequencing abort truncates the delivery ceiling below the
 // budget before the first draw, exactly as it truncates a batch run.
-func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block, budget int, strict bool) (*decode.BlockResult, streamRun, error) {
+// The error is non-nil only when no target produced a decode.
+func (p *Partition) stream(r *rng.Source, amplified *pool.Pool, targets []int, exp map[int][]int, budget int, strict bool) (map[int]*decode.BlockResult, streamRun, error) {
 	var run streamRun
 	ceiling := p.store.faultBudget(r, budget)
 	run.truncated = ceiling < budget
@@ -157,34 +527,63 @@ func (p *Partition) streamBlock(r *rng.Source, amplified *pool.Pool, block, budg
 	if strict {
 		eng.SetSlack(0)
 	}
-	expected := p.expectedList(block)
-	eng.Expect(block, expected)
+	for _, b := range targets {
+		eng.Expect(b, exp[b])
+	}
 	gate := p.poreGate(amplified, eng)
 	chunk := chunkSize(ceiling)
 	maxEntries := ejectOverhead * ceiling
-	entries := func() int { return st.Sequenced + st.Ejected }
+	more := func() bool { return st.Sequenced < ceiling && st.Sequenced+st.Ejected < maxEntries }
 	batch := make([]dna.Seq, 0, chunk)
-	for st.Sequenced < ceiling && entries() < maxEntries && !eng.Done(block) {
-		batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
-		eng.Add(batch)
-	}
-	res, derr := eng.FinalizeBlock(block)
-	for (derr != nil || !servesExpected(res, expected)) && st.Sequenced < ceiling && entries() < maxEntries {
-		eng.Reopen(block)
-		for st.Sequenced < ceiling && entries() < maxEntries && !eng.Done(block) {
+	fill := func() {
+		for more() && !eng.AllDone() {
 			batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
 			eng.Add(batch)
 		}
-		res, derr = eng.FinalizeBlock(block)
+	}
+	fill()
+	results, derr := eng.Finalize()
+	if results == nil {
+		results = make(map[int]*decode.BlockResult)
+	}
+	for derr == nil || len(targets) == 1 {
+		var bad []int
+		for _, b := range targets {
+			if !servesExpected(results[b], exp[b]) {
+				bad = append(bad, b)
+			}
+		}
+		if len(bad) == 0 || !more() {
+			break
+		}
+		for _, b := range bad {
+			eng.Reopen(b)
+		}
+		fill()
+		// Re-finalize only the escalated targets: the others' results
+		// are already good, and a full re-decode would repeat their
+		// trace and RS work every round.
+		for _, b := range bad {
+			if res, _ := eng.FinalizeBlock(b); res != nil {
+				results[b] = res
+			} else {
+				delete(results, b)
+			}
+		}
+	}
+	if len(results) > 0 {
+		derr = nil
 	}
 	p.store.addCosts(func(c *Costs) {
 		c.ReadsSequenced += st.Sequenced
 		c.ReadsEjected += st.Ejected
 	})
 	run.sequenced = st.Sequenced
-	run.entries = entries()
-	run.covAvg, _ = eng.CoverageEstimate(block)
-	return res, run, derr
+	run.entries = st.Sequenced + st.Ejected
+	if len(targets) == 1 {
+		run.covAvg, _ = eng.CoverageEstimate(targets[0])
+	}
+	return results, run, derr
 }
 
 // poreGate builds the adaptive-sampling admission decision for one
@@ -232,71 +631,6 @@ func (p *Partition) poreGate(amplified *pool.Pool, eng *streamdecode.Engine) fun
 	}
 }
 
-// streamTargets sequences one multi-block reaction (a range cover or a
-// whole-partition read) incrementally. The gate implements nanopore
-// adaptive sampling: each drawn molecule's clean template is parsed
-// once — by the same provisional-address parser the engine uses, never
-// the simulator's ground-truth metadata — and molecules of finished
-// targets or of blocks outside the target set are ejected unsequenced.
-// Targets that still fail to decode at the floor are reopened — their
-// floors double per round — and the stream escalates until every target
-// decodes or the batch budget (or the pore-entry bound) is exhausted.
-func (p *Partition) streamTargets(r *rng.Source, amplified *pool.Pool, targets []int, budget int) (map[int]*decode.BlockResult, error) {
-	ceiling := p.store.faultBudget(r, budget)
-	st, err := p.store.sampler.Stream(r, amplified)
-	if err != nil {
-		p.store.addCosts(func(c *Costs) { c.ReadsSequenced += ceiling })
-		return nil, err
-	}
-	eng, err := p.newStreamEngine()
-	if err != nil {
-		return nil, err
-	}
-	defer p.closeStreamEngine(eng)
-	for _, b := range targets {
-		eng.Expect(b, p.expectedList(b))
-	}
-	gate := p.poreGate(amplified, eng)
-	chunk := chunkSize(ceiling)
-	maxEntries := ejectOverhead * ceiling
-	entries := func() int { return st.Sequenced + st.Ejected }
-	batch := make([]dna.Seq, 0, chunk)
-	for st.Sequenced < ceiling && entries() < maxEntries && !eng.AllDone() {
-		batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
-		eng.Add(batch)
-	}
-	results, derr := eng.Finalize()
-	for derr == nil {
-		bad := p.failedTargets(results, targets)
-		if len(bad) == 0 || st.Sequenced >= ceiling || entries() >= maxEntries {
-			break
-		}
-		for _, b := range bad {
-			eng.Reopen(b)
-		}
-		for st.Sequenced < ceiling && entries() < maxEntries && !eng.AllDone() {
-			batch = drawChunk(st, batch, chunk, ceiling, maxEntries, gate)
-			eng.Add(batch)
-		}
-		// Re-finalize only the escalated targets: the others' results
-		// are already good, and a full re-decode would repeat their
-		// trace and RS work every round.
-		for _, b := range bad {
-			res, _ := eng.FinalizeBlock(b)
-			if res != nil {
-				results[b] = res
-			} else {
-				delete(results, b)
-			}
-		}
-	}
-	p.store.addCosts(func(c *Costs) {
-		c.ReadsSequenced += st.Sequenced
-		c.ReadsEjected += st.Ejected
-	})
-	return results, derr
-}
-
 // drawChunk fills batch with up to chunk sequenced reads, skipping
 // ejections, until the sequencing budget or the pore-entry bound runs
 // out — the latter is what terminates a gated stream whose admissible
@@ -313,21 +647,6 @@ func drawChunk(st *seqsim.Stream, batch []dna.Seq, chunk, budget, maxEntries int
 	return batch
 }
 
-// failedTargets lists the targets whose streamed decode cannot yet
-// serve a content read: every version the front-end wrote must have
-// decoded. Unit errors on other versions do not fail a target — those
-// are phantom slots conjured by mis-parsed stray reads, and the batch
-// decode records (and the content read ignores) the very same ones.
-func (p *Partition) failedTargets(results map[int]*decode.BlockResult, targets []int) []int {
-	var bad []int
-	for _, b := range targets {
-		if !servesExpected(results[b], p.expectedList(b)) {
-			bad = append(bad, b)
-		}
-	}
-	return bad
-}
-
 // servesExpected reports whether a decode result carries content for
 // every expected version of its block.
 func servesExpected(res *decode.BlockResult, expected []int) bool {
@@ -340,18 +659,4 @@ func servesExpected(res *decode.BlockResult, expected []int) bool {
 		}
 	}
 	return true
-}
-
-// writtenIn snapshots the written blocks in [lo, hi], the target set of
-// a cover reaction.
-func (p *Partition) writtenIn(lo, hi int) []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []int
-	for b := lo; b <= hi; b++ {
-		if p.written[b] {
-			out = append(out, b)
-		}
-	}
-	return out
 }

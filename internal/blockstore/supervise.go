@@ -52,20 +52,19 @@ func (p *Partition) retryPolicy() fault.RetryPolicy {
 	return pol.Normalize()
 }
 
-// superviseAttempt performs one supervised wet re-read of a block:
-// the standard serial front-end (primer charging, noise fork, wear)
-// followed by the instrumented wet read at the given depth scale.
-// Supervision runs serially after any parallel fan, so the front-end
-// work here keeps its deterministic order.
+// superviseAttempt performs one supervised wet re-read of a block at
+// the given depth scale through the read pipeline. Supervision runs
+// serially after any parallel fan, so the front-end work keeps its
+// deterministic order.
 func (p *Partition) superviseAttempt(block int, scale float64, screen bool) ([]byte, Health, wetInfo) {
-	p.mu.Lock()
-	depth := 1 + p.versions[block]
-	p.chargeElongated(blockPrimerKey(block))
-	accesses := 1 + p.chargeOverflow(block)
-	r := p.noise.Fork()
-	p.store.wear(accesses)
-	p.mu.Unlock()
-	return p.readBlockHealthWet(r, block, depth, p.store.cfg.Workers, scale, screen)
+	m := healthRead
+	m.scale, m.screen = scale, screen
+	pl, err := p.planBlocks([]int{block}, m)
+	if _, _, err = p.read(pl, err); err != nil {
+		return nil, Health{Block: block, Err: err}, wetInfo{}
+	}
+	s := pl.slots[0]
+	return s.content, s.h, s.info
 }
 
 // supervise runs the recovery engine over an initial health pass,
@@ -157,22 +156,20 @@ func (p *Partition) supervise(content [][]byte, health []Health) *RecoveryReport
 // wrapping fault.ErrRetryBudgetExhausted around the last failure
 // class. Results are byte-identical at any worker count.
 func (p *Partition) ReadBlocksSupervised(blocks []int) ([][]byte, []Health, *RecoveryReport, error) {
-	content, health, err := p.ReadBlocksHealth(blocks)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rep := p.supervise(content, health)
-	return content, health, rep, nil
+	return p.supervised(p.ReadBlocksHealth(blocks))
 }
 
 // ReadRangeSupervised is ReadRangeHealth with the recovery engine on
 // top; see ReadBlocksSupervised. Entries follow the written data
 // blocks of [lo, hi] in block order.
 func (p *Partition) ReadRangeSupervised(lo, hi int) ([][]byte, []Health, *RecoveryReport, error) {
-	content, health, err := p.ReadRangeHealth(lo, hi)
+	return p.supervised(p.ReadRangeHealth(lo, hi))
+}
+
+// supervised runs the recovery engine over a health read's outcome.
+func (p *Partition) supervised(content [][]byte, health []Health, err error) ([][]byte, []Health, *RecoveryReport, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rep := p.supervise(content, health)
-	return content, health, rep, nil
+	return content, health, p.supervise(content, health), nil
 }

@@ -72,7 +72,7 @@ func BindingStudy(reactions int) (*BindingResult, error) {
 	cfg := w.Store.Config()
 
 	// One real block access: the elongated primer plus main-primer
-	// carryover, exactly the reaction retrieve() runs.
+	// carryover, exactly the reaction a block read runs.
 	ep, err := w.Alice.ElongatedPrimer(531)
 	if err != nil {
 		return nil, err
