@@ -443,8 +443,8 @@ func BenchmarkUpdateBatchParallel(b *testing.B) { benchUpdateBatch(b, -1) }
 // benchRangePartition builds a 64-block partition with 44 written
 // blocks whose unaligned range [2, 45] decomposes into ~11 prefix
 // covers — one PCR → sequence → decode reaction each, the unit of
-// read-engine parallelism. bindingCache sizes the store binding cache
-// (0 = default, negative = disabled).
+// read-engine parallelism. bindingCache switches the store binding
+// cache (negative = disabled).
 func benchRangePartition(b *testing.B, workers, bindingCache int) *Partition {
 	b.Helper()
 	sys, err := New(Options{Seed: 9, MaxPartitions: 1, TreeDepth: 3, Workers: workers, BindingCache: bindingCache})

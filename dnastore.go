@@ -166,13 +166,14 @@ type Options struct {
 	// use the batch path regardless of this flag.
 	BatchDecode bool
 
-	// BindingCache is the entry budget of the store-level binding
-	// cache: primer ⇄ species alignments are pure functions of their
-	// sequences, so every PCR of the system shares one cache and
-	// repeated or range reads skip most re-alignment work. 0 selects
-	// the default budget (~10^6 entries); a negative value disables
-	// the cache. Reads return byte-identical results either way — only
-	// the wall clock changes. BindingStats reports hit rates.
+	// BindingCache switches the store-level binding cache: primer ⇄
+	// species alignments are pure functions of their sequences, so
+	// every PCR of the system shares one cache and repeated or range
+	// reads skip most re-alignment work. Only the sign matters: a
+	// negative value disables the cache; 0 or a positive value enables
+	// it at its fixed size (64 rows of one primer pair against one
+	// pool). Reads return byte-identical results either way — only the
+	// wall clock changes. BindingStats reports hit rates.
 	BindingCache int
 
 	// Decay enables the tube-aging channel: per-day thermal,
@@ -286,9 +287,9 @@ const (
 func DefaultScrubPolicy() ScrubPolicy { return blockstore.DefaultScrubPolicy() }
 
 // BindingStats is a snapshot of the system's binding-cache counters:
-// row and content hits (alignments skipped), misses (alignments
-// performed), evictions, resident entries, and compiled-pattern memo
-// traffic.
+// row hits (alignments skipped), misses (alignments performed), evicted
+// and resident rows, and compiled-pattern memo traffic. Hits is always
+// 0.
 type BindingStats = blockstore.BindingStats
 
 // System is one simulated DNA tube and its partitions.
@@ -359,6 +360,8 @@ func (s *System) TubeDigest() [32]byte { return s.store.TubeDigest() }
 
 // BindingStats returns a snapshot of the binding cache's counters; ok
 // is false when the cache is disabled (negative Options.BindingCache).
+// RowHits and Misses count answered and aligned bindings, Evictions
+// and Entries count evicted and resident rows, and Hits is always 0.
 func (s *System) BindingStats() (st BindingStats, ok bool) { return s.store.BindingStats() }
 
 // FaultStats returns the injector's fired-fault counters; zero when

@@ -9,10 +9,12 @@
 // is an immutable fact that can be shared across reactions, partitions
 // and concurrent readers. pcr.Run consults a Provider for these facts;
 // the Direct provider recomputes them per reaction (the historical
-// behavior), while Cache remembers them store-wide — content-addressed
-// for durability across pools, with index-addressed per-pool rows as a
-// lock-free fast path — so a range read over K blocks aligns each
-// primer against the mostly-unchanged tube once instead of K times.
+// behavior), while Cache remembers them store-wide in lock-free,
+// index-addressed rows per (primer pair, pool), so a range read over K
+// blocks aligns each primer against the mostly-unchanged tube once
+// instead of K times. A Bind the rows cannot answer aligns directly:
+// one bit-parallel alignment costs less than hashing the template into
+// a shared map would.
 package binding
 
 import (
@@ -173,11 +175,11 @@ func compilePairs(pairs []Pair) []compiledPair {
 	return out
 }
 
-// appendPairKey appends the content key of (pair, maxDist) to buf. Each
-// packed field is preceded by its base count, so the concatenation of a
-// pair key and a template key below is unambiguous: two key streams
-// that compare equal byte for byte describe the same primers, budget
-// and template.
+// appendPairKey appends the key of (pair, maxDist) to buf. Each packed
+// field is preceded by its base count, so the key is unambiguous: two
+// keys that compare equal byte for byte describe the same primers and
+// budget, and a fixed-width pool id appended after it (Cache's row key)
+// stays unambiguous too.
 func appendPairKey(buf []byte, p Pair, maxDist int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p.Fwd)))
 	buf = dna.AppendPacked(buf, p.Fwd)

@@ -68,8 +68,9 @@ func templatePool(templates []dna.Seq) *pool.Pool {
 // TestCachedMatchesDirect pins the cache's only contract that matters:
 // for every (pair, species), the cached provider returns exactly the
 // binding the Direct provider computes — on the first (miss) pass, the
-// row-hit pass over the same pool, and a content-hit pass over a clone
-// of the pool (fresh identity, same sequences).
+// row-hit pass over the same pool, and a pass over a clone of the pool
+// (fresh identity, same sequences), which gets rows of its own and so
+// aligns again.
 func TestCachedMatchesDirect(t *testing.T) {
 	pairs, templates := testWorkload(1)
 	pts := packAll(templates)
@@ -95,23 +96,27 @@ func TestCachedMatchesDirect(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	if st.RowHits == 0 {
-		t.Error("second pass over the same pool recorded no row hits")
+	n := uint64(len(pairs) * len(templates))
+	if st.RowHits != n {
+		t.Errorf("row hits %d, want %d: the second pass over the same pool should hit every slot", st.RowHits, n)
 	}
-	if st.Hits == 0 {
-		t.Error("pass over the clone recorded no content hits")
+	if st.Misses != 2*n {
+		t.Errorf("misses %d, want %d: the first pass and the clone's pass align every slot", st.Misses, 2*n)
 	}
-	if st.Misses == 0 || st.Entries == 0 {
-		t.Errorf("stats misses=%d entries=%d, want both > 0", st.Misses, st.Entries)
+	if st.Hits != 0 {
+		t.Errorf("hits %d, want 0", st.Hits)
 	}
-	if got := st.HitRate(); got <= 0.5 {
-		t.Errorf("hit rate %.2f after two warm passes, want > 0.5", got)
+	if want := 2 * len(pairs); st.Entries != want {
+		t.Errorf("resident rows %d, want %d (one per pair per pool identity)", st.Entries, want)
+	}
+	if got := st.HitRate(); got != 1.0/3 {
+		t.Errorf("hit rate %.3f, want 1/3", got)
 	}
 }
 
 // TestBudgetIsPartOfTheKey guards the subtle invalidation hazard: a
-// None verdict at a small budget must not be served for a larger one —
-// in the content store or in the identity rows.
+// None verdict at a small budget must not be served for a larger one
+// from the identity rows.
 func TestBudgetIsPartOfTheKey(t *testing.T) {
 	r := rng.New(7)
 	p := Pair{Fwd: randSeq(r, 20), Rev: randSeq(r, 20)}
@@ -154,11 +159,10 @@ func TestPackBindingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEvictionUnderPressure runs a working set far above a tiny budget
-// and checks that answers stay correct (evicted entries are simply
-// recomputed) and that the clock hand actually evicts. Pools are
-// cloned per pass so every lookup exercises the content store, not the
-// identity rows.
+// TestEvictionUnderPressure fills a pool's rows, pushes them out with
+// more pool identities than the row budget admits, and reads the first
+// pool again: its evicted rows are simply rebuilt (every slot aligns
+// afresh) and every answer still equals Direct's.
 func TestEvictionUnderPressure(t *testing.T) {
 	pairs, templates := testWorkload(3)
 	r := rng.New(9)
@@ -168,10 +172,10 @@ func TestEvictionUnderPressure(t *testing.T) {
 	pts := packAll(templates)
 	p := templatePool(templates)
 	const maxDist = 5
-	cache := NewCache(64) // 1 content entry per shard
+	cache := NewCache(0)
 	direct := Direct{}.Begin(pairs, maxDist, p)
-	for pass := 0; pass < 2; pass++ {
-		rx := cache.Begin(pairs, maxDist, p.Clone())
+	check := func(pass int, pp *pool.Pool) {
+		rx := cache.Begin(pairs, maxDist, pp)
 		for pi := range pairs {
 			for ti, tmpl := range pts {
 				if got, want := rx.Bind(pi, ti, tmpl), direct.Bind(pi, ti, tmpl); got != want {
@@ -181,12 +185,90 @@ func TestEvictionUnderPressure(t *testing.T) {
 			}
 		}
 	}
-	st := cache.Stats()
-	if st.Evictions == 0 {
-		t.Errorf("no evictions with %d lookups against a 64-entry budget", st.Hits+st.Misses)
+	check(0, p)
+	clones := maxRows/len(pairs) + 1 // enough fresh identities to push p's rows out
+	for i := 0; i < clones; i++ {
+		check(1+i, p.Clone())
 	}
-	if st.Entries > 64 {
-		t.Errorf("resident entries %d exceed the 64-entry budget", st.Entries)
+	before := cache.Stats()
+	check(1+clones, p)
+	st := cache.Stats()
+	n := uint64(len(pairs) * len(templates))
+	if got := st.Misses - before.Misses; got != n {
+		t.Errorf("re-reading the evicted pool aligned %d slots, want all %d", got, n)
+	}
+	if want := uint64((2+clones)*len(pairs) - maxRows); st.Evictions != want {
+		t.Errorf("evictions %d, want %d", st.Evictions, want)
+	}
+	if st.Entries != maxRows {
+		t.Errorf("resident rows %d, want the %d-row budget", st.Entries, maxRows)
+	}
+}
+
+// TestRowsLargerThanCache is the point-read regime: reactions each
+// pair a never-seen elongated primer with the one main primer, over one
+// pool, for more distinct pairs than the cache has rows. Resident rows
+// stay within the budget, Evictions counts every displaced row, the
+// main pair's row stays resident (it is begun by every reaction) and
+// keeps hitting, and every answer equals Direct's.
+func TestRowsLargerThanCache(t *testing.T) {
+	r := rng.New(23)
+	main := Pair{Fwd: randSeq(r, 20), Rev: randSeq(r, 20)}
+	const reactions = maxRows + maxRows/2
+	elongated := make([]Pair, reactions)
+	var templates []dna.Seq
+	for i := range elongated {
+		elongated[i] = Pair{Fwd: dna.Concat(main.Fwd, randSeq(r, 6)), Rev: main.Rev}
+		if i%8 == 0 {
+			exact := dna.Concat(elongated[i].Fwd, randSeq(r, 100), main.Rev)
+			templates = append(templates, exact, mutate(r, exact, 2))
+		}
+	}
+	for i := 0; i < 8; i++ {
+		templates = append(templates, randSeq(r, 150))
+	}
+	pts := packAll(templates)
+	p := templatePool(templates)
+	const maxDist = 5
+	cache := NewCache(0)
+	oks := 0
+	for i, e := range elongated {
+		pairs := []Pair{e, main}
+		rx := cache.Begin(pairs, maxDist, p)
+		direct := Direct{}.Begin(pairs, maxDist, p)
+		for pi := range pairs {
+			for ti, tmpl := range pts {
+				got, want := rx.Bind(pi, ti, tmpl), direct.Bind(pi, ti, tmpl)
+				if got != want {
+					t.Fatalf("reaction %d pair %d template %d: cached %+v, direct %+v",
+						i, pi, ti, got, want)
+				}
+				if pi == 0 && got.State == OK {
+					oks++
+				}
+			}
+		}
+		if st := cache.Stats(); st.Entries > maxRows {
+			t.Fatalf("reaction %d: %d resident rows exceed the %d-row budget", i, st.Entries, maxRows)
+		}
+	}
+	if oks == 0 {
+		t.Fatal("workload binds no elongated primer; the comparison covers only None")
+	}
+	st := cache.Stats()
+	rows := reactions + 1 // one per elongated pair, plus the main pair's
+	if want := uint64(rows - maxRows); st.Evictions != want {
+		t.Errorf("evictions %d, want %d", st.Evictions, want)
+	}
+	if st.Entries != maxRows {
+		t.Errorf("resident rows %d, want %d", st.Entries, maxRows)
+	}
+	nt := uint64(len(templates))
+	if want := uint64(reactions-1) * nt; st.RowHits != want {
+		t.Errorf("row hits %d, want %d (the main pair's row after its first reaction)", st.RowHits, want)
+	}
+	if want := uint64(rows) * nt; st.Misses != want {
+		t.Errorf("misses %d, want %d (each row aligns each template once)", st.Misses, want)
 	}
 }
 
@@ -208,10 +290,7 @@ func TestRowEviction(t *testing.T) {
 			}
 		}
 	}
-	cache.rowMu.Lock()
-	n := len(cache.rows)
-	cache.rowMu.Unlock()
-	if n > maxRows {
+	if n := cache.Stats().Entries; n > maxRows {
 		t.Errorf("%d resident rows exceed the %d-row budget", n, maxRows)
 	}
 }
@@ -256,7 +335,7 @@ func TestConcurrentBind(t *testing.T) {
 			want[pi][ti] = direct.Bind(pi, ti, tmpl)
 		}
 	}
-	cache := NewCache(128) // small enough to evict under the load below
+	cache := NewCache(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -264,7 +343,7 @@ func TestConcurrentBind(t *testing.T) {
 			defer wg.Done()
 			input := p
 			if g%2 == 1 {
-				input = p.Clone() // exercise row growth + content path together
+				input = p.Clone() // a fresh identity: rows of its own, filled concurrently
 			}
 			rx := cache.Begin(pairs, maxDist, input)
 			for rep := 0; rep < 20; rep++ {
@@ -298,30 +377,54 @@ func TestDirectBindAllocs(t *testing.T) {
 	}
 }
 
-// TestCachedHitAllocs pins the warm paths: neither a row hit (atomic
-// load) nor a content hit (no-copy map probe with pooled scratch) may
-// allocate.
+// TestCachedHitAllocs pins the warm path: a row hit (one atomic load)
+// may not allocate.
 func TestCachedHitAllocs(t *testing.T) {
 	pairs, templates := testWorkload(17)
 	p := templatePool(templates)
 	cache := NewCache(0)
 	rx := cache.Begin(pairs, 5, p)
 	tmpl := dna.Pack(templates[0])
-	rx.Bind(0, 0, tmpl) // populate row + content store
+	rx.Bind(0, 0, tmpl) // populate the row
 	if avg := testing.AllocsPerRun(200, func() { rx.Bind(0, 0, tmpl) }); avg != 0 {
 		t.Errorf("row hit allocates %.1f times per call, want 0", avg)
 	}
-	clone := cache.Begin(pairs, 5, p.Clone()).(*cachedReaction)
-	clone.Bind(0, 0, tmpl) // fills the clone's row from the content store
+}
+
+// TestBindMissAllocs pins the cold path: a row miss — the first Bind of
+// a slot, which aligns and publishes the answer — allocates nothing,
+// and neither does a Bind on a reaction without rows.
+func TestBindMissAllocs(t *testing.T) {
+	pairs, templates := testWorkload(29)
+	r := rng.New(31)
+	for len(templates) < 256 {
+		templates = append(templates, randSeq(r, 150))
+	}
+	pts := packAll(templates)
+	cache := NewCache(0)
+	rx := cache.Begin(pairs, 5, templatePool(templates))
+	before := cache.Stats()
+	si := 0
+	avg := testing.AllocsPerRun(200, func() {
+		rx.Bind(si%len(pairs), si, pts[si])
+		si++
+	})
+	if avg != 0 {
+		t.Errorf("row miss allocates %.1f times per call, want 0", avg)
+	}
+	if st := cache.Stats(); st.RowHits != before.RowHits || st.Misses-before.Misses != uint64(si) {
+		t.Fatalf("calls were not all row misses: %d row hits, %d misses over %d calls",
+			st.RowHits-before.RowHits, st.Misses-before.Misses, si)
+	}
 	rowless := cache.Begin(pairs, 5, nil)
-	if avg := testing.AllocsPerRun(200, func() { rowless.Bind(0, 0, tmpl) }); avg != 0 {
-		t.Errorf("content hit allocates %.1f times per call, want 0", avg)
+	if avg := testing.AllocsPerRun(200, func() { rowless.Bind(0, 0, pts[0]) }); avg != 0 {
+		t.Errorf("rowless bind allocates %.1f times per call, want 0", avg)
 	}
 }
 
-// BenchmarkBindRowHit / BenchmarkBindContentHit / BenchmarkBindDirect
-// report the per-binding cost of the three regimes: an identity-row
-// hit, a content-store hit, and a fresh alignment.
+// BenchmarkBindRowHit / BenchmarkBindDirect report the per-binding
+// cost of the two regimes: an identity-row hit and a fresh alignment
+// (which is also what a row miss costs).
 func BenchmarkBindRowHit(b *testing.B) {
 	pairs, templates := testWorkload(19)
 	pts := packAll(templates)
@@ -331,24 +434,6 @@ func BenchmarkBindRowHit(b *testing.B) {
 	for ti, tmpl := range pts {
 		rx.Bind(0, ti, tmpl)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ti := i % len(pts)
-		rx.Bind(0, ti, pts[ti])
-	}
-}
-
-func BenchmarkBindContentHit(b *testing.B) {
-	pairs, templates := testWorkload(19)
-	pts := packAll(templates)
-	p := templatePool(templates)
-	cache := NewCache(0)
-	warm := cache.Begin(pairs, 5, p)
-	for ti, tmpl := range pts {
-		warm.Bind(0, ti, tmpl)
-	}
-	rx := cache.Begin(pairs, 5, nil) // no identity: every hit is a content probe
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

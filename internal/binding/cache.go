@@ -9,19 +9,6 @@ import (
 	"dnastore/internal/pool"
 )
 
-// DefaultEntries is the content-store entry budget of a Cache created
-// with a non-positive size: at 12 bytes of payload plus ~60 bytes of
-// key and map overhead per entry, one million entries cost on the
-// order of 100 MB — sized for the 10^5–10^6-strand pools the scale
-// experiments target (each species costs one entry per primer pair it
-// has been aligned against).
-const DefaultEntries = 1 << 20
-
-// shardCount spreads the content store over independently locked
-// shards so concurrent reactions (and the parallel scoring chunks
-// inside one reaction) rarely contend. Must be a power of two.
-const shardCount = 64
-
 // maxRows bounds how many (primer pair, pool identity) dense rows the
 // cache keeps, LRU-evicted at Begin time. Each row costs 8 bytes per
 // input species, so the worst case is maxRows x pool size x 8 bytes.
@@ -29,11 +16,13 @@ const maxRows = 64
 
 // Stats is a snapshot of a Cache's counters.
 type Stats struct {
-	RowHits   uint64 // Bind answered by an index-addressed row (lock-free)
-	Hits      uint64 // Bind answered by the content store
+	RowHits uint64 // Bind answered by an index-addressed row (lock-free)
+	// Hits is always 0. It counted a content-addressed layer the cache
+	// no longer has and stays so that code reading it still compiles.
+	Hits      uint64
 	Misses    uint64 // Bind computed an alignment
-	Evictions uint64 // content entries displaced by the clock hand
-	Entries   int    // content entries currently resident
+	Evictions uint64 // rows displaced by the LRU
+	Entries   int    // rows currently resident (at most 64)
 
 	// PatternHits and PatternMisses count the compiled-pattern memo:
 	// misses ran dna.CompilePattern, hits reused an Eq table.
@@ -42,51 +31,40 @@ type Stats struct {
 }
 
 // HitRate returns the fraction of Bind calls answered without aligning:
-// (RowHits + Hits) / (RowHits + Hits + Misses), or 0 before any Bind.
+// RowHits / (RowHits + Misses), or 0 before any Bind.
 func (s Stats) HitRate() float64 {
-	served := s.RowHits + s.Hits
-	total := served + s.Misses
+	total := s.RowHits + s.Misses
 	if total == 0 {
 		return 0
 	}
-	return float64(served) / float64(total)
+	return float64(s.RowHits) / float64(total)
 }
 
 // HitRateSince returns the hit rate over the window between an earlier
 // snapshot and this one, and whether the window saw any Bind calls at
 // all — the per-study accounting dnabench and the binding study share.
 func (s Stats) HitRateSince(prev Stats) (rate float64, any bool) {
-	w := Stats{
-		RowHits: s.RowHits - prev.RowHits,
-		Hits:    s.Hits - prev.Hits,
-		Misses:  s.Misses - prev.Misses,
-	}
-	if w.RowHits+w.Hits+w.Misses == 0 {
+	w := Stats{RowHits: s.RowHits - prev.RowHits, Misses: s.Misses - prev.Misses}
+	if w.RowHits+w.Misses == 0 {
 		return 0, false
 	}
 	return w.HitRate(), true
 }
 
 // Cache is a bounded, store-level binding cache shared across
-// reactions. It layers two structures, both holding the same immutable
-// facts:
+// reactions. It keeps per (primer pair, budget, pool identity) dense
+// rows indexed by species position, assembled at Begin from
+// pool.Version()'s id. Pools are append-only, so a row slot, once
+// filled, is valid forever; the id is purely an assembly address, never
+// an invalidation hook. A row hit is one atomic load; a row miss aligns
+// (the bit-parallel engine makes one alignment ~0.2 µs) and publishes
+// the answer into the slot, so readers never take a lock on the hot
+// path. At most 64 rows stay resident, least recently begun evicted
+// first.
 //
-//   - A content-addressed store keyed by (primer pair, distance budget,
-//     template sequence) — all content, no identity — bounded by the
-//     entry budget with clock (second-chance) eviction. Entries never
-//     need invalidation: a pool gaining or losing species changes no
-//     key, and pools that share sequences (a tube and its PCR products,
-//     two stores with the same corpus) share entries.
-//
-//   - Per (primer pair, pool identity) dense rows indexed by species
-//     position, assembled at Begin from pool.Version()'s id. Pools are
-//     append-only, so a row slot, once filled, is valid forever; the
-//     id is purely an assembly address, never an invalidation hook.
-//     Rows exist because the bit-parallel engine made a single
-//     alignment (~0.2 µs) as cheap as packing a 150-base template and
-//     probing a locked map — a content hit alone barely wins, while a
-//     row hit is one atomic load. Row slots are published as packed
-//     uint64s, so readers never take a lock on the hot path.
+// A reaction over a pool with no identity, and the reaction-local
+// products past the input pool's length, have no row: every Bind on
+// them aligns.
 //
 // Cache also memoizes dna.CompilePattern per sequence, so repeated
 // reactions (and decode pipelines, via the PatternCompiler hook in
@@ -96,11 +74,7 @@ func (s Stats) HitRateSince(prev Stats) (rate float64, any bool) {
 //
 // All methods are safe for concurrent use.
 type Cache struct {
-	budget int // per-shard content entry budget
-	shards [shardCount]shard
-
 	rowHits   atomic.Uint64
-	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	patHits   atomic.Uint64
@@ -114,56 +88,29 @@ type Cache struct {
 	pats  map[string]*dna.Pattern
 }
 
-type shard struct {
-	mu    sync.Mutex
-	m     map[string]int // key -> slot index
-	slots []slot
-	hand  int
+// NewCache returns an empty cache. The argument sizes nothing: it once
+// budgeted a content-addressed layer the cache no longer has, and it
+// stays so that existing callers compile. The row budget is fixed at 64.
+func NewCache(int) *Cache {
+	return &Cache{
+		rows: make(map[string]*poolRow),
+		pats: make(map[string]*dna.Pattern),
+	}
 }
 
-type slot struct {
-	key string
-	b   Binding
-	ref bool
-}
-
-// NewCache returns a cache whose content store is bounded to roughly
-// maxEntries bindings (rounded up to a multiple of the shard count).
-// maxEntries <= 0 selects DefaultEntries.
-func NewCache(maxEntries int) *Cache {
-	if maxEntries <= 0 {
-		maxEntries = DefaultEntries
-	}
-	per := (maxEntries + shardCount - 1) / shardCount
-	c := &Cache{
-		budget: per,
-		rows:   make(map[string]*poolRow),
-		pats:   make(map[string]*dna.Pattern),
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]int)
-	}
-	return c
-}
-
-// Stats returns a snapshot of the counters. Entries walks the shards
-// under their locks; the other counters are loaded atomically.
+// Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	s := Stats{
+	c.rowMu.Lock()
+	entries := len(c.rows)
+	c.rowMu.Unlock()
+	return Stats{
 		RowHits:       c.rowHits.Load(),
-		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
+		Entries:       entries,
 		PatternHits:   c.patHits.Load(),
 		PatternMisses: c.patMisses.Load(),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return s
 }
 
 // Pattern returns the compiled bit-parallel pattern for seq, compiling
@@ -254,12 +201,12 @@ func (r *poolRow) store(si int, x uint64) {
 	}
 }
 
-// row returns (creating if needed) the dense row for a pair key and
-// pool id, bumping its LRU stamp and evicting the coldest row over
-// budget. Rows hold only redundant copies of pure facts, so eviction
-// is always safe.
-func (c *Cache) row(pairKey []byte, id uint64) *poolRow {
-	key := string(binary.BigEndian.AppendUint64(append([]byte(nil), pairKey...), id))
+// row returns (creating if needed) the dense row for a pair and pool
+// id, bumping its LRU stamp and evicting the coldest row over budget.
+// Rows hold only redundant copies of pure facts, so eviction is always
+// safe.
+func (c *Cache) row(p Pair, maxDist int, id uint64) *poolRow {
+	key := string(binary.BigEndian.AppendUint64(appendPairKey(nil, p, maxDist), id))
 	c.rowMu.Lock()
 	defer c.rowMu.Unlock()
 	c.rowTick++
@@ -274,6 +221,7 @@ func (c *Cache) row(pairKey []byte, id uint64) *poolRow {
 				}
 			}
 			delete(c.rows, coldKey)
+			c.evictions.Add(1)
 		}
 		r = &poolRow{}
 		c.rows[key] = r
@@ -286,7 +234,7 @@ func (c *Cache) row(pairKey []byte, id uint64) *poolRow {
 
 // Begin starts one reaction: patterns come from the memo, each pair
 // attaches its input-pool row (when the pool has an identity), and
-// every Bind consults the row, then the content store, then aligns.
+// every Bind consults the row, then aligns.
 func (c *Cache) Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction {
 	rx := &cachedReaction{c: c, maxDist: maxDist, pairs: make([]cachedPair, len(pairs))}
 	var id uint64
@@ -295,14 +243,11 @@ func (c *Cache) Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction {
 		rx.n0 = input.Len()
 	}
 	for i, p := range pairs {
-		cp := cachedPair{
-			cp:  compiledPair{fwd: c.Pattern(p.Fwd), rev: c.Pattern(p.Rev)},
-			key: appendPairKey(nil, p, maxDist),
-		}
+		cp := cachedPair{cp: compiledPair{fwd: c.Pattern(p.Fwd), rev: c.Pattern(p.Rev)}}
 		// A pool that never saw an Add reports id 0 and could alias
 		// another fresh pool; it also has no species, so skip the row.
 		if id != 0 && rx.n0 > 0 {
-			cp.row = c.row(cp.key, id)
+			cp.row = c.row(p, maxDist, id)
 			cp.row.grow(rx.n0)
 		}
 		rx.pairs[i] = cp
@@ -312,7 +257,6 @@ func (c *Cache) Begin(pairs []Pair, maxDist int, input *pool.Pool) Reaction {
 
 type cachedPair struct {
 	cp  compiledPair
-	key []byte // content key prefix: (fwd, rev, maxDist)
 	row *poolRow
 }
 
@@ -323,10 +267,6 @@ type cachedReaction struct {
 	pairs   []cachedPair
 }
 
-// keyBufs recycles key scratch across Bind calls and goroutines; a
-// full key (pair prefix + packed 150-base template) is ~90 bytes.
-var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 160); return &b }}
-
 func (r *cachedReaction) Bind(pi, si int, template dna.Packed) Binding {
 	p := &r.pairs[pi]
 	inRow := p.row != nil && si >= 0 && si < r.n0
@@ -336,84 +276,10 @@ func (r *cachedReaction) Bind(pi, si int, template dna.Packed) Binding {
 			return unpackBinding(x)
 		}
 	}
-	bp := keyBufs.Get().(*[]byte)
-	key := append((*bp)[:0], p.key...)
-	key = template.AppendKey(key) // byte-identical to dna.AppendPacked of the bases
-	b, ok := r.c.get(key)
-	if !ok {
-		b = p.cp.bindPacked(template, r.maxDist)
-		r.c.put(key, b)
-	}
-	*bp = key[:0]
-	keyBufs.Put(bp)
+	r.c.misses.Add(1)
+	b := p.cp.bindPacked(template, r.maxDist)
 	if inRow {
 		p.row.store(si, packBinding(b))
 	}
 	return b
-}
-
-// fnv1a hashes a key for shard selection.
-func fnv1a(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return h
-}
-
-// get looks a key up in the content store, marking the entry
-// referenced. The map probe converts the byte key without copying, so
-// hits allocate nothing.
-func (c *Cache) get(key []byte) (Binding, bool) {
-	sh := &c.shards[fnv1a(key)&(shardCount-1)]
-	sh.mu.Lock()
-	if i, ok := sh.m[string(key)]; ok {
-		sh.slots[i].ref = true
-		b := sh.slots[i].b
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return b, true
-	}
-	sh.mu.Unlock()
-	c.misses.Add(1)
-	return Binding{}, false
-}
-
-// put inserts a freshly computed binding, evicting by clock when the
-// shard is at budget. Concurrent reactions may compute the same miss
-// and both put it; the second insert just overwrites the identical
-// value (bindings are pure, so the race is benign).
-func (c *Cache) put(key []byte, b Binding) {
-	sh := &c.shards[fnv1a(key)&(shardCount-1)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if i, ok := sh.m[string(key)]; ok {
-		sh.slots[i].b = b
-		sh.slots[i].ref = true
-		return
-	}
-	k := string(key)
-	if len(sh.slots) < c.budget {
-		sh.m[k] = len(sh.slots)
-		sh.slots = append(sh.slots, slot{key: k, b: b, ref: true})
-		return
-	}
-	// Clock sweep: give referenced entries a second chance. The sweep
-	// terminates because it clears a bit on every step.
-	for {
-		if sh.hand >= len(sh.slots) {
-			sh.hand = 0
-		}
-		if !sh.slots[sh.hand].ref {
-			break
-		}
-		sh.slots[sh.hand].ref = false
-		sh.hand++
-	}
-	victim := &sh.slots[sh.hand]
-	delete(sh.m, victim.key)
-	*victim = slot{key: k, b: b, ref: true}
-	sh.m[k] = sh.hand
-	sh.hand++
-	c.evictions.Add(1)
 }

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"dnastore/internal/binding"
+	"dnastore/internal/dna"
+	"dnastore/internal/pool"
 )
 
 // bindingConfig returns the small test config with the given binding
-// budget and worker count.
+// cache switch (negative disables it) and worker count.
 func bindingConfig(entries, workers int) Config {
 	cfg := testConfig()
 	cfg.BindingEntries = entries
@@ -18,10 +20,9 @@ func bindingConfig(entries, workers int) Config {
 }
 
 // buildBindingStore writes the seeded data set into a store built with
-// the given binding budget and worker count.
-func buildBindingStore(t testing.TB, entries, workers int) (*Store, *Partition) {
+// the given config.
+func buildBindingStore(t testing.TB, cfg Config) (*Store, *Partition) {
 	t.Helper()
-	cfg := bindingConfig(entries, workers)
 	s := newTestStore(t, cfg)
 	p, err := s.CreatePartition("alice")
 	if err != nil {
@@ -36,13 +37,24 @@ func buildBindingStore(t testing.TB, entries, workers int) (*Store, *Partition) 
 	return s, p
 }
 
-// TestBindingCacheByteIdentity is the tentpole's differential oracle:
-// a store with the shared binding cache — default budget or a 64-entry
-// budget that evicts constantly — produces the same tube digest and
+// evictRows begins reactions over enough fresh one-species pools to
+// push every row the cache holds out of it.
+func evictRows(c *binding.Cache) {
+	seq := dna.MustFromString("ACGTACGTACGTACGTACGTACGT")
+	for k := 0; k < 64; k++ {
+		pp := pool.New()
+		pp.Add(seq, 1, pool.Meta{})
+		c.Begin([]binding.Pair{{Fwd: seq, Rev: seq}}, 0, pp)
+	}
+}
+
+// TestBindingCacheByteIdentity is the differential oracle of the
+// binding cache: a store with the shared cache — left warm, or with its
+// rows evicted before every pass — produces the same tube digest and
 // the same read bytes as a store with the cache disabled, at workers
 // 1, 4 and GOMAXPROCS, across every read path, warm and cold.
 func TestBindingCacheByteIdentity(t *testing.T) {
-	refStore, refPart := buildBindingStore(t, -1, 1) // cache disabled
+	refStore, refPart := buildBindingStore(t, bindingConfig(-1, 1)) // cache disabled
 	refDigest := refStore.TubeDigest()
 	refRange, err := refPart.ReadRange(0, 11)
 	if err != nil {
@@ -57,13 +69,22 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, entries := range []int{0 /* default budget */, 64 /* eviction pressure */} {
+	for _, evict := range []bool{false, true} {
 		for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-			s, p := buildBindingStore(t, entries, workers)
+			cfg := bindingConfig(0, workers)
+			var shared *binding.Cache
+			if evict {
+				shared = binding.NewCache(0)
+				cfg.PCR.Provider = shared
+			}
+			s, p := buildBindingStore(t, cfg)
 			if s.TubeDigest() != refDigest {
-				t.Fatalf("entries=%d workers=%d: tube digest differs after writes", entries, workers)
+				t.Fatalf("evict=%v workers=%d: tube digest differs after writes", evict, workers)
 			}
 			for pass := 0; pass < 2; pass++ { // cold then warm
+				if evict {
+					evictRows(shared)
+				}
 				gotRange, err := p.ReadRange(0, 11)
 				if err != nil {
 					t.Fatal(err)
@@ -82,16 +103,16 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 			}
 			st, ok := s.BindingStats()
 			if !ok {
-				t.Fatalf("entries=%d workers=%d: cache reported disabled", entries, workers)
+				t.Fatalf("evict=%v workers=%d: cache reported disabled", evict, workers)
 			}
-			if st.RowHits+st.Hits == 0 {
-				t.Errorf("entries=%d workers=%d: warm passes recorded no cache hits", entries, workers)
+			if st.RowHits == 0 {
+				t.Errorf("evict=%v workers=%d: warm passes recorded no row hits", evict, workers)
 			}
-			if entries == 64 && st.Evictions == 0 {
-				t.Errorf("workers=%d: 64-entry budget recorded no evictions under a 12-block workload", workers)
+			if evict && st.Evictions == 0 {
+				t.Errorf("workers=%d: evicting the rows before each pass recorded no evictions", workers)
 			}
 			if s.TubeDigest() != refDigest {
-				t.Fatalf("entries=%d workers=%d: reads mutated the tube", entries, workers)
+				t.Fatalf("evict=%v workers=%d: reads mutated the tube", evict, workers)
 			}
 		}
 	}
@@ -103,7 +124,8 @@ func TestBindingCacheByteIdentity(t *testing.T) {
 // TestBindingProviderShared pins the cross-store sharing contract: a
 // caller-supplied provider survives New (it is not displaced by a
 // store-private cache), is adopted for stats when it is a
-// binding.Cache, and actually accumulates traffic from both stores.
+// binding.Cache, and actually accumulates traffic from both stores: a
+// second read in each store replays the rows its first read filled.
 func TestBindingProviderShared(t *testing.T) {
 	shared := binding.NewCache(0)
 	var stores []*Store
@@ -121,6 +143,13 @@ func TestBindingProviderShared(t *testing.T) {
 		if _, err := p.ReadBlock(0); err != nil {
 			t.Fatal(err)
 		}
+		before := shared.Stats()
+		if _, err := p.ReadBlock(0); err != nil {
+			t.Fatal(err)
+		}
+		if after := shared.Stats(); after.RowHits == before.RowHits {
+			t.Errorf("store %d: second read recorded no row hits", i)
+		}
 		stores = append(stores, s)
 	}
 	if stores[0].Config().PCR.Provider != binding.Provider(shared) {
@@ -130,10 +159,9 @@ func TestBindingProviderShared(t *testing.T) {
 	if !ok {
 		t.Fatal("shared cache not adopted for stats")
 	}
-	// The two stores share one corpus-free tube each; the second
-	// store's read must at least have hit the entries its own reaction
-	// filled, and both stores' traffic lands in one counter set.
-	if st.Misses == 0 || st.RowHits+st.Hits == 0 {
+	// Each store has its own tube, so its first read aligns against
+	// rows of its own; both stores' traffic lands in one counter set.
+	if st.Misses == 0 || st.RowHits == 0 {
 		t.Errorf("shared cache saw no traffic from both stores: %+v", st)
 	}
 }
@@ -143,7 +171,7 @@ func TestBindingProviderShared(t *testing.T) {
 // binding cache — and checks every result against the serial answers.
 // Run with -race (CI does).
 func TestBindingCacheConcurrentReads(t *testing.T) {
-	s, p := buildBindingStore(t, 0, 2)
+	s, p := buildBindingStore(t, bindingConfig(0, 2))
 	wantRange, err := p.ReadRange(2, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +215,7 @@ func TestBindingCacheConcurrentReads(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st, ok := s.BindingStats(); !ok || st.RowHits+st.Hits == 0 {
+	if st, ok := s.BindingStats(); !ok || st.RowHits == 0 {
 		t.Errorf("shared cache saw no hits across concurrent reads (stats %+v ok=%v)", st, ok)
 	}
 }

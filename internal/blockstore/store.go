@@ -134,13 +134,14 @@ type Config struct {
 	// vendor delivered, dropped orders included.
 	Retry *fault.RetryPolicy
 
-	// BindingEntries is the entry budget of the store-level binding
-	// cache shared by every PCR reaction of the store: primer ⇄ species
-	// alignments are pure functions of their sequences, so one cache
-	// serves all partitions and concurrent readers, and a range read
-	// re-aligns the tube's stable species once instead of once per
-	// cover. 0 selects binding.DefaultEntries; a negative value
-	// disables the cache (every reaction re-aligns from scratch).
+	// BindingEntries switches the store-level binding cache shared by
+	// every PCR reaction of the store: primer ⇄ species alignments are
+	// pure functions of their sequences, so one cache serves all
+	// partitions and concurrent readers, and a range read re-aligns the
+	// tube's stable species once instead of once per cover. Only the
+	// sign matters: a negative value disables the cache (every reaction
+	// re-aligns from scratch); 0 or a positive value enables it (the
+	// cache's size is fixed, see binding.Cache).
 	// Reads are byte-identical either way. New installs the cache as
 	// the PCR params' Provider, so Config().PCR carries it to direct
 	// pcr.Run call sites (experiments, mixing protocols) too. A

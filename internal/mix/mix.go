@@ -28,10 +28,11 @@ type Options struct {
 	// PCR holds reaction parameters for the amplification steps. The
 	// paper uses 15 cycles for these (Section 6.4.2). Capacity applies
 	// per reaction. PCR.Provider, when set (blockstore installs the
-	// store's binding cache into its Config().PCR), shares primer ⇄
-	// species alignments with the store's other reactions: the pools
-	// mixed here are clones of the tube, so their species hit the
-	// content-addressed entries the tube's reads already paid for.
+	// store's binding cache into its Config().PCR), shares the
+	// compiled primer patterns with the store's other reactions. The
+	// pools mixed here are clones of the tube with fresh identities, so
+	// each reaction aligns its species itself: the cache's rows are
+	// addressed by pool identity, not by sequence.
 	PCR pcr.Params
 }
 

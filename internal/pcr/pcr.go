@@ -239,8 +239,9 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 	// Dense per-reaction binding table: species index x primer index,
 	// species-major. Species are appended, never removed, so indexes
 	// are stable; the table grows with the pool, gated on the pool's
-	// revision (pool.Version is purely a growth signal here — the
-	// provider's entries are content-addressed and never invalidated).
+	// revision (pool.Version is purely a growth signal here — a caching
+	// provider's rows are addressed by the input pool's identity, and
+	// append-only pools never invalidate them).
 	// During the parallel scoring phase each chunk touches only its own
 	// species' rows, so writes never race.
 	np := len(primers)

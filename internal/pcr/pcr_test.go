@@ -408,9 +408,9 @@ func TestRunWorkersDeterministic(t *testing.T) {
 }
 
 // TestRunProviderByteIdentical pins the provider contract: a reaction
-// scored through a shared binding.Cache — cold, warm, or starved into
-// eviction — produces a pool byte-identical to the default Direct
-// provider at every worker count.
+// scored through a shared binding.Cache — cold, warm, or with its rows
+// evicted before every reaction — produces a pool byte-identical to the
+// default Direct provider at every worker count.
 func TestRunProviderByteIdentical(t *testing.T) {
 	input := buildPool(64)
 	pr := []Primer{
@@ -423,13 +423,23 @@ func TestRunProviderByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := poolFingerprint(ref)
-	providers := map[string]binding.Provider{
-		"cache":      binding.NewCache(0),
-		"tiny-cache": binding.NewCache(64), // evicts constantly
+	providers := map[string]*binding.Cache{
+		"cache":   binding.NewCache(0),
+		"evicted": binding.NewCache(0), // rows pushed out before every reaction
+	}
+	// evictRows begins reactions over enough fresh pool identities to
+	// push every row the input's reactions built out of the cache.
+	evictRows := func(c *binding.Cache) {
+		for k := 0; k < 64; k++ {
+			c.Begin([]binding.Pair{{Fwd: fwdP, Rev: revP}}, 0, input.Clone())
+		}
 	}
 	for name, prov := range providers {
 		for _, workers := range []int{1, 4, -1} {
 			for pass := 0; pass < 2; pass++ { // cold then warm
+				if name == "evicted" {
+					evictRows(prov)
+				}
 				ps := base
 				ps.Provider = prov
 				ps.Workers = workers
@@ -455,11 +465,11 @@ func TestRunProviderByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	if st := providers["cache"].(*binding.Cache).Stats(); st.Hits == 0 {
-		t.Error("warm cached reactions recorded no hits")
+	if st := providers["cache"].Stats(); st.RowHits == 0 {
+		t.Error("warm cached reactions recorded no row hits")
 	}
-	if st := providers["tiny-cache"].(*binding.Cache).Stats(); st.Evictions == 0 {
-		t.Error("tiny cache recorded no evictions")
+	if st := providers["evicted"].Stats(); st.Evictions == 0 || st.RowHits != 0 {
+		t.Errorf("evicted cache: %d evictions, %d row hits; want evictions and no hits", st.Evictions, st.RowHits)
 	}
 }
 
@@ -502,4 +512,41 @@ func BenchmarkPCRRunCached(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRunColdPrimer is a block read's reaction against a warm
+// cache: each iteration pairs a never-seen elongated primer with the
+// main primer, so the elongated pair misses its row on every species
+// while the main pair's row hits. The direct sub-benchmark runs the
+// same reactions without a cache; a cold primer should cost no more
+// through the cache than without it.
+func BenchmarkRunColdPrimer(b *testing.B) {
+	input := buildPool(256)
+	ps := params(256 * 100 * 40)
+	primersFor := func(i int) []Primer {
+		idx := make([]byte, 10)
+		for j := range idx {
+			idx[j] = "ACGT"[(i>>(2*j))&3]
+		}
+		return []Primer{
+			{Fwd: elongated(string(idx)), Rev: revP, Conc: 1},
+			{Fwd: fwdP, Rev: revP, Conc: 0.02},
+		}
+	}
+	run := func(b *testing.B, prov binding.Provider) {
+		ps := ps
+		ps.Provider = prov
+		if _, _, err := Run(input, primersFor(0), ps); err != nil { // warm the main pair's row
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Run(input, primersFor(1+i), ps); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("cache", func(b *testing.B) { run(b, binding.NewCache(0)) })
+	b.Run("direct", func(b *testing.B) { run(b, binding.Direct{}) })
 }
