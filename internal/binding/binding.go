@@ -87,29 +87,6 @@ type compiledPair struct {
 	rev *dna.Pattern
 }
 
-// bind aligns a compiled primer pair against a template. Both
-// alignments are bounded by the remaining distance budget and allocate
-// nothing.
-func (cp compiledPair) bind(template dna.Seq, maxDist int) Binding {
-	fn := cp.fwd.Len() + AlignSlack
-	if fn > len(template) {
-		fn = len(template)
-	}
-	dFwd, end, ok := cp.fwd.PrefixAlignmentAtMost(template[:fn], maxDist)
-	if !ok {
-		return Binding{State: None}
-	}
-	rn := cp.rev.Len() + AlignSlack
-	if rn > len(template) {
-		rn = len(template)
-	}
-	dRev, ok := cp.rev.SuffixAlignmentAtMost(template[len(template)-rn:], maxDist-dFwd)
-	if !ok {
-		return Binding{State: None}
-	}
-	return Binding{Dist: int32(dFwd + dRev), End: int32(end), State: OK}
-}
-
 // seqBufs recycles the small prefix/suffix unpack scratch across Bind
 // calls and goroutines; a primer-length window is ~30 bases.
 var seqBufs = sync.Pool{New: func() any { s := make(dna.Seq, 0, 128); return &s }}
@@ -117,8 +94,8 @@ var seqBufs = sync.Pool{New: func() any { s := make(dna.Seq, 0, 128); return &s 
 // bindPacked aligns a compiled primer pair against a packed template
 // view, unpacking only the forward window (primer length plus slack
 // from the front) and the reverse window (from the back) — never the
-// payload between them. The alignments see exactly the bases the Seq
-// form of bind sees, so the outcome is bit-identical.
+// payload between them. Both alignments are bounded by the remaining
+// distance budget.
 func (cp compiledPair) bindPacked(template dna.Packed, maxDist int) Binding {
 	n := template.Len()
 	fn := cp.fwd.Len() + AlignSlack
@@ -145,6 +122,42 @@ func (cp compiledPair) bindPacked(template dna.Packed, maxDist int) Binding {
 		return Binding{State: None}
 	}
 	return Binding{Dist: int32(dFwd + dRev), End: int32(end), State: OK}
+}
+
+// Nests reports whether every template the child pair binds within
+// maxDist is also bound by the parent pair, decidable from the primers
+// alone: the parent's forward primer is a proper prefix of the child's
+// (an elongated primer over its partition primer), the reverse primers
+// are equal, and maxDist <= AlignSlack. A reaction that holds both
+// pairs can then answer None for the child wherever the parent
+// answered None, without aligning.
+//
+// Proof. Let the parent's forward primer be P (p bases) and the
+// child's C = P·X (c > p bases), on a template of n bases.
+//   - PrefixAlignmentAtMost returns the minimum edit distance between
+//     the pattern and any prefix of its window, so a child OK means
+//     some alignment of C to template[:e] costs dC <= maxDist, with
+//     e <= min(c+AlignSlack, n).
+//   - Restricting that alignment to P's rows aligns P to some
+//     template[:e'] with e' <= e at cost d' <= dC. An edit distance is
+//     at least the length difference, so e' <= p+d' <= p+maxDist <=
+//     p+AlignSlack; and e' <= e <= n. The parent's window
+//     template[:min(p+AlignSlack, n)] therefore holds that prefix, and
+//     the parent's forward distance dP <= d' <= dC.
+//   - The reverse window (rev length plus slack, from the back) is the
+//     same for both pairs, and the reverse budget the parent gets,
+//     maxDist-dP, is no smaller than the child's, maxDist-dC. The
+//     child's reverse alignment therefore fits the parent's budget.
+//
+// So the child binding implies the parent binding; contrapositively a
+// parent None implies a child None. The argument needs maxDist <=
+// AlignSlack to keep the restricted prefix inside the parent's window,
+// so beyond it Nests reports false.
+func Nests(parent, child Pair, maxDist int) bool {
+	return maxDist <= AlignSlack &&
+		len(parent.Fwd) < len(child.Fwd) &&
+		child.Fwd.HasPrefix(parent.Fwd) &&
+		parent.Rev.Equal(child.Rev)
 }
 
 // Direct is the no-reuse provider: Begin compiles the pairs and every

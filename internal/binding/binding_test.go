@@ -453,3 +453,115 @@ func BenchmarkBindDirect(b *testing.B) {
 		rx.Bind(0, ti, pts[ti])
 	}
 }
+
+// editAt applies k random edits (substitution, insertion, deletion) to
+// s, each within two bases of position at.
+func editAt(r *rng.Source, s dna.Seq, at, k int) dna.Seq {
+	out := s.Clone()
+	for i := 0; i < k; i++ {
+		pos := at - 2 + r.Intn(5)
+		if pos < 0 {
+			pos = 0
+		}
+		if pos > len(out) {
+			pos = len(out)
+		}
+		switch op := r.Intn(3); {
+		case op == 0 && pos < len(out):
+			out[pos] = dna.Base((int(out[pos]) + 1 + r.Intn(3)) % 4)
+		case op == 1 || len(out) < 2:
+			out = append(out[:pos], append(dna.Seq{dna.Base(r.Intn(4))}, out[pos:]...)...)
+		default:
+			if pos == len(out) {
+				pos--
+			}
+			out = append(out[:pos], out[pos+1:]...)
+		}
+	}
+	return out
+}
+
+// TestNestsLemma checks Nests' proof against the aligner it reasons
+// about: over random partition primers, elongations and templates —
+// edits anywhere in the forward primer, indels at the join between the
+// primer and its elongation, templates shorter than the forward window
+// — whenever Nests holds, a parent None from bindPacked implies a child
+// None, and a child binding implies a parent binding at no greater
+// distance.
+func TestNestsLemma(t *testing.T) {
+	r := rng.New(99)
+	var parentNone, childOnlyNone, bothOK int
+	for trial := 0; trial < 400; trial++ {
+		fwd, rev := randSeq(r, 18+r.Intn(6)), randSeq(r, 20)
+		child := Pair{Fwd: dna.Concat(fwd, randSeq(r, 1+r.Intn(12))), Rev: rev}
+		parent := Pair{Fwd: fwd, Rev: rev}
+		cp := compilePairs([]Pair{parent, child})
+		for k := 0; k < 8; k++ {
+			var tmpl dna.Seq
+			switch k % 4 {
+			case 0: // edits across the whole forward primer
+				tmpl = dna.Concat(mutate(r, child.Fwd, r.Intn(5)), randSeq(r, 40), rev)
+			case 1: // indels at the prefix/extension join, up to a run of AlignSlack+2 inserted bases
+				joined := dna.Concat(fwd, randSeq(r, r.Intn(AlignSlack+3)), child.Fwd[len(fwd):])
+				tmpl = dna.Concat(editAt(r, joined, len(fwd), r.Intn(4)), randSeq(r, 40), rev)
+			case 2: // shorter than the forward window
+				full := dna.Concat(editAt(r, child.Fwd, len(fwd), r.Intn(4)), rev)
+				tmpl = full[:min(len(full), len(fwd)+r.Intn(AlignSlack+len(rev)))]
+			default: // reverse end edited too
+				tmpl = dna.Concat(editAt(r, child.Fwd, r.Intn(len(child.Fwd)), r.Intn(4)), randSeq(r, 30), mutate(r, rev, r.Intn(3)))
+			}
+			packed := dna.Pack(tmpl)
+			for maxDist := 0; maxDist <= AlignSlack; maxDist++ {
+				if !Nests(parent, child, maxDist) {
+					t.Fatalf("Nests(%v, %v, %d) = false", parent.Fwd, child.Fwd, maxDist)
+				}
+				bp := cp[0].bindPacked(packed, maxDist)
+				bc := cp[1].bindPacked(packed, maxDist)
+				switch {
+				case bp.State == None && bc.State != None:
+					t.Fatalf("maxDist %d template %v: parent None but child %+v", maxDist, tmpl, bc)
+				case bc.State == OK && bc.Dist < bp.Dist:
+					t.Fatalf("maxDist %d template %v: child distance %d below parent's %d", maxDist, tmpl, bc.Dist, bp.Dist)
+				case bp.State == None:
+					parentNone++
+				case bc.State == None:
+					childOnlyNone++
+				default:
+					bothOK++
+				}
+			}
+		}
+	}
+	if parentNone == 0 || childOnlyNone == 0 || bothOK == 0 {
+		t.Errorf("workload misses a case: %d parent None, %d child-only None, %d both OK", parentNone, childOnlyNone, bothOK)
+	}
+}
+
+// TestNestsRejects pins the cases Nests must refuse: a different
+// reverse primer, a budget past AlignSlack, and a forward primer that
+// is not a proper prefix (equal, longer, or diverging).
+func TestNestsRejects(t *testing.T) {
+	r := rng.New(5)
+	fwd, rev := randSeq(r, 20), randSeq(r, 20)
+	parent := Pair{Fwd: fwd, Rev: rev}
+	child := Pair{Fwd: dna.Concat(fwd, randSeq(r, 6)), Rev: rev}
+	if !Nests(parent, child, AlignSlack) {
+		t.Fatal("elongated pair not nested under its partition pair")
+	}
+	diverge := child.Fwd.Clone()
+	diverge[3] = (diverge[3] + 1) % 4
+	for name, c := range map[string]struct {
+		parent, child Pair
+		maxDist       int
+	}{
+		"different rev":  {parent, Pair{Fwd: child.Fwd, Rev: randSeq(r, 20)}, 3},
+		"budget > slack": {parent, child, AlignSlack + 1},
+		"equal fwd":      {parent, Pair{Fwd: fwd.Clone(), Rev: rev}, 3},
+		"reversed roles": {child, parent, 3},
+		"not a prefix":   {parent, Pair{Fwd: diverge, Rev: rev}, 3},
+	} {
+		if Nests(c.parent, c.child, c.maxDist) {
+			t.Errorf("%s: Nests = true", name)
+		}
+	}
+}

@@ -43,8 +43,8 @@ func Pack(seq Seq) Packed {
 
 // PackedView returns a Packed sequence of n bases viewing b without
 // copying. b must hold the 2-bit packing of exactly n bases — the bytes
-// Pack produces, or an AppendKey/AppendPacked key minus its trailing
-// marker byte — and must not be modified while the view is reachable.
+// Pack produces, or an AppendPacked key minus its trailing marker
+// byte — and must not be modified while the view is reachable.
 // It is how pool hands out zero-copy sequence views of its arena.
 func PackedView(b []byte, n int) Packed {
 	if (n+3)/4 != len(b) || n < 0 {
@@ -149,18 +149,13 @@ func (p Packed) Equal(q Packed) bool {
 	return true
 }
 
-// AppendKey appends the sequence's map-key encoding to buf: the packed
-// bytes followed by a len%4 marker. Two distinct sequences never
-// produce equal keys: equal keys force equal packed lengths and equal
-// length-mod-4, hence equal base counts, hence equal bases.
-func (p Packed) AppendKey(buf []byte) []byte {
-	return append(append(buf, p.b...), byte(p.n&3))
-}
-
 // AppendPacked appends seq's packed map-key encoding to buf without
-// materializing a Packed value; it is the allocation-free key builder
-// used by the pool's species map. AppendPacked(nil, s) equals
-// Pack(s).AppendKey(nil) byte for byte.
+// materializing a Packed value: the packed bytes followed by a len%4
+// marker. It is the allocation-free key builder used by the pool's
+// species index. Two distinct sequences never produce equal keys:
+// equal keys force equal packed lengths and equal length-mod-4, hence
+// equal base counts, hence equal bases. AppendPacked(nil, s) equals
+// Pack(s)'s bytes plus that marker, byte for byte.
 func AppendPacked(buf []byte, seq Seq) []byte {
 	return append(appendPackedBytes(buf, seq), byte(len(seq)&3))
 }

@@ -36,14 +36,22 @@ func TestPackedEqual(t *testing.T) {
 	}
 }
 
-// TestAppendPackedMatchesPackKey pins the two key producers to one
-// byte layout, the property package pool relies on.
+// packKey is the key layout package pool relies on: Pack's packed
+// bytes followed by the len%4 marker. The pool hashes and compares its
+// arena spans (Pack's bytes) against AppendPacked keys minus the
+// marker, so the two must agree byte for byte.
+func packKey(s Seq) []byte {
+	return append(append([]byte(nil), Pack(s).Bytes()...), byte(len(s)&3))
+}
+
+// TestAppendPackedMatchesPackKey pins the key builder to Pack's byte
+// layout plus the length marker, the property package pool relies on.
 func TestAppendPackedMatchesPackKey(t *testing.T) {
 	r := rng.New(42)
 	for i := 0; i < 200; i++ {
 		s := randomSeq(r, r.Intn(100))
 		k1 := AppendPacked(nil, s)
-		k2 := Pack(s).AppendKey(nil)
+		k2 := packKey(s)
 		if !bytes.Equal(k1, k2) {
 			t.Fatalf("key mismatch for %v: % x vs % x", s, k1, k2)
 		}
@@ -86,8 +94,8 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		if got := p.Unpack(); !got.Equal(s) {
 			t.Fatalf("round trip: got %v want %v", got, s)
 		}
-		if !bytes.Equal(AppendPacked(nil, s), p.AppendKey(nil)) {
-			t.Fatal("AppendPacked and AppendKey disagree")
+		if !bytes.Equal(AppendPacked(nil, s), packKey(s)) {
+			t.Fatal("AppendPacked disagrees with Pack's bytes plus the len%4 marker")
 		}
 	})
 }

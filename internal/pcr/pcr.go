@@ -21,6 +21,7 @@ package pcr
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"dnastore/internal/binding"
 	"dnastore/internal/dna"
@@ -82,8 +83,8 @@ type Params struct {
 	Workers int
 
 	// Provider supplies primer ⇄ template binding alignments. nil means
-	// binding.Direct: compile the pairs and align every (species,
-	// primer) once per reaction, the historical behavior. A shared
+	// binding.Direct: compile the pairs and align each (species,
+	// primer) the reaction asks about once per reaction. A shared
 	// binding.Cache amortizes both the alignments and the pattern
 	// compilation across reactions over mostly-unchanged pools; since
 	// bindings are pure functions of their sequences, the amplified
@@ -207,12 +208,25 @@ type product struct {
 // Run executes the reaction on a copy of the input pool and returns the
 // amplified pool. The input pool is not modified.
 //
-// Each cycle has two phases. The scoring phase is pure: it aligns and
-// scores every (species, primer) pair against the frozen cycle-start
-// pool and emits growth deltas; with params.Workers > 1 it fans out
-// across contiguous species chunks whose delta buffers are concatenated
-// in species order, so the emitted sequence is identical to the serial
-// one. The apply phase then mutates the pool serially in that order.
+// Each cycle has two phases. The scoring phase is pure: it scores the
+// reaction's live species against the frozen cycle-start pool and
+// emits growth deltas; with params.Workers > 1 it fans out across
+// contiguous chunks of the live list whose delta buffers are
+// concatenated in species order, so the emitted sequence is identical
+// to the serial one. The apply phase then mutates the pool serially in
+// that order.
+//
+// A reaction pays only for the species its primers can bind. A species
+// is aligned against each pair once, on its first scoring pass; if no
+// pair binds it, it leaves the live list for good, since no later cycle
+// can change those verdicts. Species skipped as zero-abundance or
+// negligible stay live (their bindings are still unknown), and each
+// cycle's new products join it. A pair nested under another
+// (binding.Nests: an elongated primer over its partition primer) is
+// not aligned where the outer pair found no binding: the verdict is
+// None by construction. Dropped species and pruned verdicts never
+// produce a delta, so the amplified pool is byte-identical to scoring
+// every (species, primer) pair every cycle.
 func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, error) {
 	if err := params.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -238,12 +252,9 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 
 	// Dense per-reaction binding table: species index x primer index,
 	// species-major. Species are appended, never removed, so indexes
-	// are stable; the table grows with the pool, gated on the pool's
-	// revision (pool.Version is purely a growth signal here — a caching
-	// provider's rows are addressed by the input pool's identity, and
-	// append-only pools never invalidate them).
-	// During the parallel scoring phase each chunk touches only its own
-	// species' rows, so writes never race.
+	// are stable and the table grows with the pool. During the
+	// parallel scoring phase each chunk touches only its own species'
+	// rows, so writes never race.
 	np := len(primers)
 	var cache []binding.Binding
 	// prodIdx memoizes, per (species, primer) slot, 1 + the pool index
@@ -261,6 +272,7 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 		pairs[i] = binding.Pair{Fwd: pr.Fwd, Rev: pr.Rev}
 	}
 	rx := prov.Begin(pairs, params.MaxBindDist, input)
+	outer, order := nesting(pairs, params.MaxBindDist)
 
 	// negligible products below this absolute abundance are dropped to
 	// bound the species count.
@@ -272,6 +284,12 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 	// non-negligible delta.
 	maxProb := params.Efficiency * maxConc
 
+	// live lists, ascending, the species some pair may still bind.
+	live := make([]int32, out.Len())
+	for i := range live {
+		live[i] = int32(i)
+	}
+
 	workers := parallel.Resolve(params.Workers)
 	nchunks := 1
 	if workers > 1 {
@@ -279,6 +297,7 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 	}
 	chunkDeltas := make([][]delta, nchunks)
 	chunkProds := make([][]product, nchunks)
+	chunkKept := make([]int, nchunks)
 	expPen := make([]float64, params.MaxBindDist+1)
 
 	for c := 0; c < params.Cycles; c++ {
@@ -312,33 +331,46 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 		for d := 0; d <= params.MaxBindDist; d++ {
 			expPen[d] = math.Exp(-pen * float64(d))
 		}
-		// score emits the growth deltas of species [lo, hi) in order.
-		score := func(lo, hi int, deltas []delta, prods []product) ([]delta, []product) {
-			for si := lo; si < hi; si++ {
+		// score emits the growth deltas of the species in ids, in order,
+		// and compacts ids in place to the species that stay live,
+		// returning how many did.
+		score := func(ids []int32, deltas []delta, prods []product) (int, []delta, []product) {
+			kept := 0
+			for _, id := range ids {
+				si := int(id)
 				ab := out.Abundance(si)
-				if ab <= 0 {
-					continue
-				}
-				if ab*maxProb*sat < negligible {
+				if ab <= 0 || ab*maxProb*sat < negligible {
+					ids[kept] = id
+					kept++
 					continue
 				}
 				tmpl := out.PackedSeq(si) // zero-copy arena view
 				row := cache[si*np : (si+1)*np]
+				for _, pi := range order {
+					b := &row[pi]
+					if b.State != binding.Unknown {
+						continue
+					}
+					if o := outer[pi]; o >= 0 && row[o].State == binding.None {
+						b.State = binding.None
+						continue
+					}
+					*b = rx.Bind(pi, si, tmpl)
+				}
+				bound := false
 				for pi := range primers {
 					b := &row[pi]
-					if b.State == binding.Unknown {
-						*b = rx.Bind(pi, si, tmpl)
-					}
 					if b.State == binding.None {
 						continue
 					}
+					bound = true
 					prob := params.Efficiency * primers[pi].Conc * expPen[b.Dist]
 					amount := ab * prob * sat
 					if amount < negligible {
 						continue
 					}
 					if b.Dist == 0 {
-						deltas = append(deltas, delta{species: int32(si), prod: -1, amount: amount})
+						deltas = append(deltas, delta{species: id, prod: -1, amount: amount})
 						continue
 					}
 					// Misprime: product carries the primer as its prefix
@@ -360,25 +392,32 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 					prods = append(prods, product{origin: slot, seq: seq, meta: meta})
 					deltas = append(deltas, delta{species: -1, prod: int32(len(prods) - 1), amount: amount})
 				}
+				if bound {
+					ids[kept] = id
+					kept++
+				}
 			}
-			return deltas, prods
+			return kept, deltas, prods
 		}
-		chunk := (n + nchunks - 1) / nchunks
+		nl := len(live)
+		chunk := (nl + nchunks - 1) / nchunks
 		if chunk < 1 {
 			chunk = 1
 		}
+		bounds := func(ci int) (lo, hi int) {
+			return min(ci*chunk, nl), min((ci+1)*chunk, nl)
+		}
 		parallel.Run(workers, nchunks, func(ci int) error {
-			lo := ci * chunk
-			if lo > n {
-				lo = n
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			chunkDeltas[ci], chunkProds[ci] = score(lo, hi, chunkDeltas[ci][:0], chunkProds[ci][:0])
+			lo, hi := bounds(ci)
+			chunkKept[ci], chunkDeltas[ci], chunkProds[ci] = score(live[lo:hi], chunkDeltas[ci][:0], chunkProds[ci][:0])
 			return nil
 		})
+		kept := 0
+		for ci := range chunkKept {
+			lo, _ := bounds(ci)
+			kept += copy(live[kept:], live[lo:lo+chunkKept[ci]])
+		}
+		live = live[:kept]
 		// Apply phase: serial, in species order (chunks are contiguous
 		// and ordered), identical to the historical single-loop apply:
 		// boosting a memoized product index mutates exactly the species
@@ -391,15 +430,17 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 					continue
 				}
 				p := &prods[d.prod]
-				before := out.Len()
 				if idx := out.AddIndex(p.seq, d.amount, p.meta); idx >= 0 {
 					prodIdx[p.origin] = int32(idx) + 1
 				}
-				if out.Len() > before {
-					stats.MisprimeSpecies++
-				}
 			}
 		}
+		// New products join the live list; their indexes exceed every
+		// existing one, so it stays ascending.
+		for i := n; i < out.Len(); i++ {
+			live = append(live, int32(i))
+		}
+		stats.MisprimeSpecies += out.Len() - n
 	}
 
 	stats.FinalTotal = out.Total()
@@ -409,4 +450,28 @@ func Run(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, 
 		}
 	}
 	return out, stats, nil
+}
+
+// nesting returns, for each pair, the index of a pair nesting it
+// (binding.Nests; the one with the longest forward primer, so chains
+// prune at the tightest level) or -1, and an evaluation order in which
+// every outer pair precedes the pairs it nests: ascending forward
+// primer length.
+func nesting(pairs []binding.Pair, maxDist int) (outer, order []int) {
+	outer = make([]int, len(pairs))
+	order = make([]int, len(pairs))
+	for i, child := range pairs {
+		outer[i] = -1
+		order[i] = i
+		for j, parent := range pairs {
+			if binding.Nests(parent, child, maxDist) &&
+				(outer[i] < 0 || len(parent.Fwd) > len(pairs[outer[i]].Fwd)) {
+				outer[i] = j
+			}
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return len(pairs[order[a]].Fwd) < len(pairs[order[b]].Fwd)
+	})
+	return outer, order
 }

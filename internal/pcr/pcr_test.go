@@ -1,13 +1,16 @@
 package pcr
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"dnastore/internal/binding"
 	"dnastore/internal/dna"
+	"dnastore/internal/parallel"
 	"dnastore/internal/pool"
 	"dnastore/internal/rng"
 )
@@ -549,4 +552,435 @@ func BenchmarkRunColdPrimer(b *testing.B) {
 	}
 	b.Run("cache", func(b *testing.B) { run(b, binding.NewCache(0)) })
 	b.Run("direct", func(b *testing.B) { run(b, binding.Direct{}) })
+}
+
+// --- the full-scan reference and the differential against it ----------
+
+// runReference is the full-scan reaction Run must reproduce byte for
+// byte: every cycle it scores every species of the pool, and every
+// (species, primer) slot is aligned through the provider — no live
+// list, no nested-primer pruning. It is the oracle of the differential
+// tests below, the way the Banded* kernels serve the bit-parallel ones.
+func runReference(input *pool.Pool, primers []Primer, params Params) (*pool.Pool, Stats, error) {
+	if err := params.Validate(); err != nil {
+		return nil, Stats{}, err
+	}
+	if len(primers) == 0 {
+		return nil, Stats{}, fmt.Errorf("pcr: no primers")
+	}
+	maxConc := 0.0
+	for i, pr := range primers {
+		if len(pr.Fwd) == 0 || len(pr.Rev) == 0 {
+			return nil, Stats{}, fmt.Errorf("pcr: primer %d has empty sequence", i)
+		}
+		if pr.Conc <= 0 {
+			return nil, Stats{}, fmt.Errorf("pcr: primer %d has non-positive concentration", i)
+		}
+		if pr.Conc > maxConc {
+			maxConc = pr.Conc
+		}
+	}
+
+	out := input.Clone()
+	stats := Stats{Cycles: params.Cycles, InitialTotal: out.Total()}
+
+	// Dense per-reaction binding table: species index x primer index,
+	// species-major. Species are appended, never removed, so indexes
+	// are stable; the table grows with the pool, gated on the pool's
+	// revision (pool.Version is purely a growth signal here — a caching
+	// provider's rows are addressed by the input pool's identity, and
+	// append-only pools never invalidate them).
+	// During the parallel scoring phase each chunk touches only its own
+	// species' rows, so writes never race.
+	np := len(primers)
+	var cache []binding.Binding
+	// prodIdx memoizes, per (species, primer) slot, 1 + the pool index
+	// of the slot's misprime product once the apply phase has created
+	// it (0 = no product yet, so freshly zeroed growth is correct):
+	// re-deriving the same sequence every cycle dominated the warm
+	// profile once bindings were cached.
+	var prodIdx []int32
+	prov := params.Provider
+	if prov == nil {
+		prov = binding.Direct{}
+	}
+	pairs := make([]binding.Pair, np)
+	for i, pr := range primers {
+		pairs[i] = binding.Pair{Fwd: pr.Fwd, Rev: pr.Rev}
+	}
+	rx := prov.Begin(pairs, params.MaxBindDist, input)
+
+	// negligible products below this absolute abundance are dropped to
+	// bound the species count.
+	negligible := params.Capacity * 1e-12
+	// maxProb bounds any primer's binding probability; species whose
+	// whole-cycle growth falls below negligible are skipped before any
+	// alignment work. Floating-point multiplication is monotone, so the
+	// bound is exact: a skipped species could never have produced a
+	// non-negligible delta.
+	maxProb := params.Efficiency * maxConc
+
+	workers := parallel.Resolve(params.Workers)
+	nchunks := 1
+	if workers > 1 {
+		nchunks = 4 * workers
+	}
+	chunkDeltas := make([][]delta, nchunks)
+	chunkProds := make([][]product, nchunks)
+	expPen := make([]float64, params.MaxBindDist+1)
+
+	for c := 0; c < params.Cycles; c++ {
+		total := out.Total()
+		sat := 1 - total/params.Capacity
+		if sat <= 0 {
+			break
+		}
+		pen := params.penalty(params.annealTemp(c))
+		n := out.Len()
+		// Grow the reaction tables with doubling: products append a few
+		// species every cycle, and regrowing exactly-sized tables each
+		// cycle was measurable zeroing + copy traffic. Fresh capacity
+		// is zeroed by allocation, which is the Unknown state for both
+		// tables.
+		if need := n * np; len(cache) < need {
+			if cap(cache) >= need {
+				cache, prodIdx = cache[:need], prodIdx[:need]
+			} else {
+				nc := make([]binding.Binding, need, 2*need)
+				copy(nc, cache)
+				cache = nc
+				ni := make([]int32, need, 2*need)
+				copy(ni, prodIdx)
+				prodIdx = ni
+			}
+		}
+		// The mismatch penalty enters only as exp(-pen*d) for the few
+		// distances within the budget; tabulating it per cycle replaces
+		// a math.Exp per (species, primer) with an indexed load.
+		for d := 0; d <= params.MaxBindDist; d++ {
+			expPen[d] = math.Exp(-pen * float64(d))
+		}
+		// score emits the growth deltas of species [lo, hi) in order.
+		score := func(lo, hi int, deltas []delta, prods []product) ([]delta, []product) {
+			for si := lo; si < hi; si++ {
+				ab := out.Abundance(si)
+				if ab <= 0 {
+					continue
+				}
+				if ab*maxProb*sat < negligible {
+					continue
+				}
+				tmpl := out.PackedSeq(si) // zero-copy arena view
+				row := cache[si*np : (si+1)*np]
+				for pi := range primers {
+					b := &row[pi]
+					if b.State == binding.Unknown {
+						*b = rx.Bind(pi, si, tmpl)
+					}
+					if b.State == binding.None {
+						continue
+					}
+					prob := params.Efficiency * primers[pi].Conc * expPen[b.Dist]
+					amount := ab * prob * sat
+					if amount < negligible {
+						continue
+					}
+					if b.Dist == 0 {
+						deltas = append(deltas, delta{species: int32(si), prod: -1, amount: amount})
+						continue
+					}
+					// Misprime: product carries the primer as its prefix
+					// and the template's remainder (index overwritten,
+					// payload kept). Once the product exists its index
+					// is memoized and growth goes straight to it.
+					slot := si*np + pi
+					if idx := prodIdx[slot]; idx != 0 {
+						deltas = append(deltas, delta{species: idx - 1, prod: -1, amount: amount})
+						continue
+					}
+					fwd := primers[pi].Fwd
+					tn := tmpl.Len()
+					seq := make(dna.Seq, 0, len(fwd)+tn-int(b.End))
+					seq = append(seq, fwd...)
+					seq = tmpl.AppendRange(seq, int(b.End), tn)
+					meta := out.MetaAt(si)
+					meta.Misprimed = true
+					prods = append(prods, product{origin: slot, seq: seq, meta: meta})
+					deltas = append(deltas, delta{species: -1, prod: int32(len(prods) - 1), amount: amount})
+				}
+			}
+			return deltas, prods
+		}
+		chunk := (n + nchunks - 1) / nchunks
+		if chunk < 1 {
+			chunk = 1
+		}
+		parallel.Run(workers, nchunks, func(ci int) error {
+			lo := ci * chunk
+			if lo > n {
+				lo = n
+			}
+			hi := lo + chunk
+			if hi > n {
+				hi = n
+			}
+			chunkDeltas[ci], chunkProds[ci] = score(lo, hi, chunkDeltas[ci][:0], chunkProds[ci][:0])
+			return nil
+		})
+		// Apply phase: serial, in species order (chunks are contiguous
+		// and ordered), identical to the historical single-loop apply:
+		// boosting a memoized product index mutates exactly the species
+		// that re-adding its sequence would have found.
+		for ci, deltas := range chunkDeltas {
+			prods := chunkProds[ci]
+			for _, d := range deltas {
+				if d.species >= 0 {
+					out.Boost(int(d.species), d.amount)
+					continue
+				}
+				p := &prods[d.prod]
+				before := out.Len()
+				if idx := out.AddIndex(p.seq, d.amount, p.meta); idx >= 0 {
+					prodIdx[p.origin] = int32(idx) + 1
+				}
+				if out.Len() > before {
+					stats.MisprimeSpecies++
+				}
+			}
+		}
+	}
+
+	stats.FinalTotal = out.Total()
+	for i, nOut := 0, out.Len(); i < nOut; i++ {
+		if out.MetaAt(i).Misprimed {
+			stats.MisprimedMass += out.Abundance(i)
+		}
+	}
+	return out, stats, nil
+}
+
+// editSeq applies k random edits (substitution, insertion or deletion)
+// to s. Edits may land anywhere, including the join between a primer
+// and its elongation.
+func editSeq(r *rng.Source, s dna.Seq, k int) dna.Seq {
+	out := s.Clone()
+	for i := 0; i < k; i++ {
+		pos := r.Intn(len(out) + 1)
+		switch op := r.Intn(3); {
+		case op == 0 && pos < len(out):
+			out[pos] = dna.Base((int(out[pos]) + 1 + r.Intn(3)) % 4)
+		case op == 1 || len(out) < 2:
+			out = append(out[:pos], append(dna.Seq{dna.Base(r.Intn(4))}, out[pos:]...)...)
+		default:
+			if pos == len(out) {
+				pos--
+			}
+			out = append(out[:pos], out[pos+1:]...)
+		}
+	}
+	return out
+}
+
+func randomSeq(r *rng.Source, n int) dna.Seq {
+	s := make(dna.Seq, n)
+	for i := range s {
+		s[i] = dna.Base(r.Intn(4))
+	}
+	return s
+}
+
+// diffWorkload is one seeded reaction input: a pool of strands whose
+// forward ends lie 0-7 edits from the primers, a few unrelated and
+// zero-abundance species, and clean twins of substituted strands (the
+// misprime product of the substituted strand collides with its twin),
+// plus primer sets covering every nesting shape.
+type diffWorkload struct {
+	input *pool.Pool
+	sets  map[string][]Primer
+}
+
+func newDiffWorkload(seed uint64) diffWorkload {
+	r := rng.New(seed)
+	fwd, rev, rev2 := randomSeq(r, 20), randomSeq(r, 20), randomSeq(r, 20)
+	ext := randomSeq(r, 12)
+	e1 := dna.Concat(fwd, ext[:6])
+	e2 := dna.Concat(fwd, ext)
+	other := randomSeq(r, 26)
+	sets := map[string][]Primer{
+		"nested":    {{Fwd: e1, Rev: rev, Conc: 1}, {Fwd: fwd, Rev: rev, Conc: 0.02}},
+		"chain":     {{Fwd: e2, Rev: rev, Conc: 0.5}, {Fwd: fwd, Rev: rev, Conc: 0.05}, {Fwd: e1, Rev: rev, Conc: 0.5}},
+		"disjoint":  {{Fwd: e1, Rev: rev, Conc: 1}, {Fwd: other, Rev: rev, Conc: 0.3}},
+		"same-fwd":  {{Fwd: fwd, Rev: rev, Conc: 1}, {Fwd: fwd, Rev: rev2, Conc: 0.4}},
+		"other-rev": {{Fwd: e1, Rev: rev2, Conc: 1}, {Fwd: fwd, Rev: rev, Conc: 0.1}},
+	}
+	heads := []dna.Seq{fwd, e1, e2, other}
+	p := pool.New()
+	for i := 0; i < 48; i++ {
+		head := heads[r.Intn(len(heads))]
+		tail := rev
+		if r.Intn(4) == 0 {
+			tail = rev2
+		}
+		payload := randomSeq(r, 60+r.Intn(20))
+		meta := pool.Meta{Partition: "p", Block: i, OriginBlock: i}
+		ab := 50 + float64(r.Intn(100))
+		switch {
+		case i%8 == 0: // unrelated
+			p.Add(randomSeq(r, 110), ab, meta)
+		case i%8 == 1: // substituted head plus its clean twin
+			sub := head.Clone()
+			for k := 1 + r.Intn(3); k > 0; k-- {
+				j := r.Intn(len(sub))
+				sub[j] = dna.Base((int(sub[j]) + 1) % 4)
+			}
+			p.Add(dna.Concat(sub, payload, tail), ab, meta)
+			p.Add(dna.Concat(head, payload, tail), ab, meta)
+		default:
+			p.Add(dna.Concat(editSeq(r, head, r.Intn(8)), payload, editSeq(r, tail, r.Intn(3))), ab, meta)
+		}
+	}
+	// Zero-abundance species keep their place in the pool.
+	for i := 0; i < p.Len(); i += 7 {
+		p.SetAbundance(i, 0)
+	}
+	return diffWorkload{input: p, sets: sets}
+}
+
+// TestRunMatchesReference is the differential behind Run's live list
+// and nested-primer pruning: across seeded pools, every primer-set
+// shape, every budget 0-7 (7 exceeds AlignSlack and switches pruning
+// off), serial and parallel scoring and both providers, Run's pool
+// digest and Stats equal the full-scan reference's.
+func TestRunMatchesReference(t *testing.T) {
+	collisions := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		w := newDiffWorkload(seed)
+		collisions += countCollisions(w)
+		cache := binding.NewCache(0)
+		for name, primers := range w.sets {
+			for maxDist := 0; maxDist <= 7; maxDist++ {
+				ps := params(w.input.Total() * 30)
+				ps.MaxBindDist = maxDist
+				ref, refStats, err := runReference(w.input, primers, ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ref.Digest()
+				for _, workers := range []int{1, 4} {
+					for _, prov := range []binding.Provider{binding.Direct{}, cache} {
+						ps := ps
+						ps.Workers, ps.Provider = workers, prov
+						out, stats, err := Run(w.input, primers, ps)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if out.Digest() != want || stats != refStats {
+							t.Fatalf("seed %d %s maxDist %d workers %d %T: digest or stats differ\n got %+v\nwant %+v",
+								seed, name, maxDist, workers, prov, stats, refStats)
+						}
+					}
+				}
+			}
+		}
+	}
+	if collisions == 0 {
+		t.Error("no misprime product collides with an input species; the workload misses that case")
+	}
+}
+
+// countCollisions counts (species, pair) misprimes of the nested set
+// whose product sequence is already an input species.
+func countCollisions(w diffWorkload) int {
+	primers := w.sets["nested"]
+	pairs := make([]binding.Pair, len(primers))
+	for i, pr := range primers {
+		pairs[i] = binding.Pair{Fwd: pr.Fwd, Rev: pr.Rev}
+	}
+	in := w.input
+	seqs := make(map[string]bool, in.Len())
+	for i := 0; i < in.Len(); i++ {
+		seqs[in.SeqAt(i).String()] = true
+	}
+	rx := binding.Direct{}.Begin(pairs, DefaultParams().MaxBindDist, in)
+	n := 0
+	for si := 0; si < in.Len(); si++ {
+		tmpl := in.PackedSeq(si)
+		for pi, pr := range primers {
+			b := rx.Bind(pi, si, tmpl)
+			if b.State != binding.OK || b.Dist == 0 {
+				continue
+			}
+			prod := tmpl.AppendRange(pr.Fwd.Clone(), int(b.End), tmpl.Len())
+			if seqs[prod.String()] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// countingProvider wraps Direct, records every answer, and fails the
+// test when a pair is asked about a species that a pair nesting it
+// already answered None for.
+type countingProvider struct {
+	t     *testing.T
+	mu    sync.Mutex
+	calls []int // Bind calls per pair
+	none  map[[2]int]bool
+}
+
+func (c *countingProvider) Begin(pairs []binding.Pair, maxDist int, input *pool.Pool) binding.Reaction {
+	c.calls = make([]int, len(pairs))
+	c.none = make(map[[2]int]bool)
+	return &countingReaction{c: c, pairs: pairs, maxDist: maxDist, rx: binding.Direct{}.Begin(pairs, maxDist, input)}
+}
+
+type countingReaction struct {
+	c       *countingProvider
+	pairs   []binding.Pair
+	maxDist int
+	rx      binding.Reaction
+}
+
+func (r *countingReaction) Bind(pi, si int, tmpl dna.Packed) binding.Binding {
+	b := r.rx.Bind(pi, si, tmpl)
+	c := r.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls[pi]++
+	for pj, parent := range r.pairs {
+		if binding.Nests(parent, r.pairs[pi], r.maxDist) && c.none[[2]int{pj, si}] {
+			c.t.Errorf("pair %d asked about species %d after nesting pair %d answered None", pi, si, pj)
+		}
+	}
+	if b.State == binding.None {
+		c.none[[2]int{pi, si}] = true
+	}
+	return b
+}
+
+// TestNestedPairSkipsParentNone pins the pruning itself: an elongated
+// pair is never aligned against a species its partition pair cannot
+// bind, so it is asked far less often than the partition pair. Past
+// AlignSlack the pruning is off and both pairs see every species.
+func TestNestedPairSkipsParentNone(t *testing.T) {
+	w := newDiffWorkload(7)
+	for _, name := range []string{"nested", "chain"} {
+		for _, workers := range []int{1, 4} {
+			for _, maxDist := range []int{DefaultParams().MaxBindDist, binding.AlignSlack + 1} {
+				prov := &countingProvider{t: t}
+				ps := params(w.input.Total() * 30)
+				ps.Workers, ps.Provider, ps.MaxBindDist = workers, prov, maxDist
+				if _, _, err := Run(w.input, w.sets[name], ps); err != nil {
+					t.Fatal(err)
+				}
+				inner, outer := prov.calls[0], prov.calls[1]
+				pruned := maxDist <= binding.AlignSlack
+				if pruned && inner >= outer || !pruned && inner != outer {
+					t.Errorf("%s workers %d maxDist %d: elongated pair asked %d times, partition pair %d",
+						name, workers, maxDist, inner, outer)
+				}
+			}
+		}
+	}
 }

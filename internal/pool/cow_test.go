@@ -80,6 +80,74 @@ func TestCloneChainIsolation(t *testing.T) {
 	}
 }
 
+// lookup returns the index the species index holds for seq, or -1,
+// without mutating the pool.
+func lookup(p *Pool, seq dna.Seq) int {
+	key := dna.AppendPacked(nil, seq)
+	return p.find(key[:len(key)-1], len(seq))
+}
+
+// TestCloneSharedIndexIsolation pins the shared species index: after a
+// Clone, parent and child each add distinct species — in both orders —
+// and each finds its own additions and every inherited species, never
+// the other's; a grandchild cloned from the child inherits the child's
+// additions and stays isolated in turn.
+func TestCloneSharedIndexIsolation(t *testing.T) {
+	seqs := func(seed uint64, n int) []dna.Seq {
+		q := randomPool(seed, n, 30)
+		out := make([]dna.Seq, n)
+		for i := range out {
+			out[i] = q.SeqAt(i)
+		}
+		return out
+	}
+	expect := func(who string, p *Pool, ss []dna.Seq, found bool) {
+		t.Helper()
+		for _, s := range ss {
+			if (lookup(p, s) >= 0) != found {
+				t.Fatalf("%s: lookup(%v) found=%v, want %v", who, s, !found, found)
+			}
+		}
+	}
+	for _, childFirst := range []bool{false, true} {
+		p := randomPool(10, 300, 30)
+		base := seqs(10, 300)
+		c := p.Clone()
+		pNew, cNew, gNew := seqs(11, 40), seqs(12, 40), seqs(13, 40)
+		addAll := func(q *Pool, ss []dna.Seq) {
+			for _, s := range ss {
+				q.Add(s, 1, Meta{})
+			}
+		}
+		if childFirst {
+			addAll(c, cNew)
+			addAll(p, pNew)
+		} else {
+			addAll(p, pNew)
+			addAll(c, cNew)
+		}
+		for i, s := range base {
+			if lookup(p, s) != i || lookup(c, s) != i {
+				t.Fatalf("inherited species %d: parent %d, child %d", i, lookup(p, s), lookup(c, s))
+			}
+		}
+		expect("parent own", p, pNew, true)
+		expect("parent sees child's", p, cNew, false)
+		expect("child own", c, cNew, true)
+		expect("child sees parent's", c, pNew, false)
+
+		g := c.Clone()
+		addAll(g, gNew)
+		expect("grandchild inherited", g, append(append([]dna.Seq(nil), base...), cNew...), true)
+		expect("grandchild own", g, gNew, true)
+		expect("grandchild sees parent's", g, pNew, false)
+		expect("child sees grandchild's", c, gNew, false)
+		if c.Len() != 340 || g.Len() != 380 || p.Len() != 340 {
+			t.Fatalf("lengths parent %d child %d grandchild %d", p.Len(), c.Len(), g.Len())
+		}
+	}
+}
+
 // TestCloneConcurrentReaders hammers a snapshot from many readers while
 // the parent keeps mutating; run under -race this proves snapshots are
 // safe to read concurrently with parent writes.

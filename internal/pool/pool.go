@@ -148,16 +148,19 @@ type Pool struct {
 	partIdx map[string]uint32 // lazy inverse of parts
 
 	// idx is the open-addressed species index over arena spans:
-	// 0 = empty slot, otherwise record index + 1. It is dropped on
-	// Clone and lazily rebuilt by the first Add.
-	idx     []int32
-	idxUsed int
+	// 0 = empty slot, otherwise record index + 1. It is built lazily by
+	// the first Add. Clone hands the same table to the child and sets
+	// idxShared on both sides; whichever side inserts first copies it,
+	// so a snapshot never rehashes every species it inherited.
+	idx       []int32
+	idxUsed   int
+	idxShared atomic.Bool
 
 	// total memoizes the left-fold abundance sum. Appending a new
 	// species extends the fold exactly (t + a), so the memo stays
-	// clean; any other abundance mutation marks it dirty and the next
-	// Total recomputes the fold bit-identically. Atomics make the lazy
-	// recompute safe under concurrent readers.
+	// clean; any other abundance mutation marks it dirty (markDirty)
+	// and the next Total recomputes the fold bit-identically. Atomics
+	// make the lazy recompute safe under concurrent readers.
 	total      atomic.Uint64 // Float64bits
 	totalDirty atomic.Bool
 
@@ -309,8 +312,12 @@ func (p *Pool) find(b []byte, n int) int {
 }
 
 // insertIdx inserts record i into the index; the caller has ensured
-// capacity.
+// capacity. An index still shared with a Clone is copied first.
 func (p *Pool) insertIdx(i int) {
+	if p.idxShared.Load() {
+		p.idx = append([]int32(nil), p.idx...)
+		p.idxShared.Store(false)
+	}
 	r := p.rec(i)
 	mask := uint64(len(p.idx) - 1)
 	j := hashKey(p.span(r), byte(r.n&3)) & mask
@@ -330,6 +337,7 @@ func (p *Pool) reindex() {
 	}
 	p.idx = make([]int32, size)
 	p.idxUsed = 0
+	p.idxShared.Store(false)
 	for i := 0; i < p.n; i++ {
 		p.insertIdx(i)
 	}
@@ -414,7 +422,7 @@ func (p *Pool) add(key []byte, n int, abundance float64, meta Meta) int {
 	if i := p.find(key, n); i >= 0 {
 		s := p.writableSeg(i >> segShift)
 		s.recs[i&segMask].abundance += abundance
-		p.totalDirty.Store(true)
+		p.markDirty()
 		return i
 	}
 	if (p.idxUsed+1)*4 > len(p.idx)*3 {
@@ -435,6 +443,16 @@ func (p *Pool) add(key []byte, n int, abundance float64, meta Meta) int {
 	return p.n - 1
 }
 
+// markDirty flags the memoized total for recomputation. It stores only
+// when the flag is clear: the PCR apply phase boosts every growing
+// species every cycle, and an unconditional atomic store per boost was
+// most of Boost's cost.
+func (p *Pool) markDirty() {
+	if !p.totalDirty.Load() {
+		p.totalDirty.Store(true)
+	}
+}
+
 // Boost adds amount to the abundance of the species at index i. It is
 // the in-place growth operation of the PCR apply phase; routing it
 // through the pool keeps Version tracking sound.
@@ -443,7 +461,7 @@ func (p *Pool) Boost(i int, amount float64) {
 	p.rev++
 	s := p.writableSeg(i >> segShift)
 	s.recs[i&segMask].abundance += amount
-	p.totalDirty.Store(true)
+	p.markDirty()
 }
 
 // SetAbundance overwrites the abundance of the species at index i.
@@ -452,7 +470,7 @@ func (p *Pool) SetAbundance(i int, v float64) {
 	p.rev++
 	s := p.writableSeg(i >> segShift)
 	s.recs[i&segMask].abundance = v
-	p.totalDirty.Store(true)
+	p.markDirty()
 }
 
 // Scale multiplies every abundance by factor, modeling dilution
@@ -470,7 +488,7 @@ func (p *Pool) Scale(factor float64) {
 			s.recs[j].abundance *= factor
 		}
 	}
-	p.totalDirty.Store(true)
+	p.markDirty()
 }
 
 // MixInto adds every species of src, scaled by factor, into p. It models
@@ -558,8 +576,8 @@ func (p *Pool) Total() float64 {
 // regardless of pool size. Parent and child share the arena and record
 // segments behind fresh write epochs; whichever side mutates first
 // copies only the segments it touches, so the two are fully isolated.
-// The species index is not shared — the child rebuilds it on its first
-// Add.
+// The species index is shared too: the first side to insert a new
+// species copies the table instead of rehashing every species.
 func (p *Pool) Clone() *Pool {
 	p.init()
 	// Fresh epochs on BOTH sides retire the shared tail chunk and mark
@@ -569,12 +587,18 @@ func (p *Pool) Clone() *Pool {
 	p.gen.Store(lastEpoch.Add(1))
 	p.shared.Store(true)
 	c := &Pool{
-		chunks: p.chunks,
-		tail:   p.tail,
-		segs:   p.segs,
-		n:      p.n,
-		parts:  p.parts,
-		id:     lastPoolID.Add(1),
+		chunks:  p.chunks,
+		tail:    p.tail,
+		segs:    p.segs,
+		n:       p.n,
+		parts:   p.parts,
+		idx:     p.idx,
+		idxUsed: p.idxUsed,
+		id:      lastPoolID.Add(1),
+	}
+	if p.idx != nil {
+		p.idxShared.Store(true)
+		c.idxShared.Store(true)
 	}
 	c.shared.Store(true)
 	c.gen.Store(lastEpoch.Add(1))
